@@ -88,6 +88,8 @@ def convergence_sweep(
 ) -> list[ConvergenceRecord]:
     """One record per n: sup-error on ``grid`` plus modulus bounds at 1/n."""
     ns = _validate_n_list(n_list)
+    # The scaled second moment depends on the offset modulo 1 only, not on n.
+    m2 = max(d.second_lattice_moment(u, cfg_template.truncation_eps) for u in u_grid)
     records = []
     for n in ns:
         start = time.perf_counter()
@@ -96,7 +98,6 @@ def convergence_sweep(
         t = 1.0 / n
         om = modulus(f, t, t / 4.0).value
         om2 = second_modulus(f, t, t / 4.0).value
-        m2 = max(d.second_lattice_moment(u, cfg.truncation_eps) for u in u_grid)
         elapsed_ms = (time.perf_counter() - start) * 1e3
         records.append(ConvergenceRecord(n, err, om, om2, m2, elapsed_ms))
     return records

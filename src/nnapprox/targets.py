@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InputError, ParameterError
+from .errors import DomainError, InputError, ParameterError
 
 __all__ = [
     "FunctionSpec",
@@ -46,8 +46,15 @@ class FunctionSpec:
             raise ParameterError("FunctionSpec requires a callable")
 
     def __call__(self, x):
+        """Values at ``x``; raises DomainError unless they are finite and shaped like ``x``."""
         arr = np.asarray(x, dtype=float)
         out = np.asarray(self.fn(arr), dtype=float)
+        if out.shape != arr.shape:
+            raise DomainError(
+                f"target {self.name!r} returned shape {out.shape} for input shape {arr.shape}"
+            )
+        if not np.all(np.isfinite(out)):
+            raise DomainError(f"target {self.name!r} returned a non-finite value")
         if np.ndim(x) == 0:
             return float(out)
         return out

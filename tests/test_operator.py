@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from nnapprox import (
+    DomainError,
     FunctionSpec,
     InputError,
     NumericalError,
@@ -38,6 +39,33 @@ class TestConfigValidation:
         f = make_function("sin")
         with pytest.raises(InputError):
             approximate(OperatorConfig(16), default_density, f, 1.5)
+
+    def test_non_finite_grid_point_rejected(self, default_density):
+        f = make_function("sin")
+        with pytest.raises(InputError):
+            approximate_grid(OperatorConfig(16), default_density, f, [0.0, float("nan")])
+
+    @pytest.mark.parametrize("call", [
+        lambda cfg, d, f: approximate_grid(cfg, d, f, []),
+        lambda cfg, d, f: sup_error(cfg, d, f, np.array([])),
+        lambda cfg, d, f: stability_gap(cfg, d, f, f, []),
+    ])
+    def test_empty_grid_rejected(self, default_density, call):
+        with pytest.raises(InputError):
+            call(OperatorConfig(16), default_density, make_function("sin"))
+
+    def test_lattice_beyond_exact_floats_rejected(self, default_density):
+        f = make_function("sin", half_width=2.0)
+        assert approximate(OperatorConfig(2**51), default_density, f, 0.0) == pytest.approx(
+            0.0, abs=1e-12
+        )
+        with pytest.raises(InputError):
+            approximate(OperatorConfig(2**52), default_density, f, 0.0)
+
+    @pytest.mark.parametrize("fn", [lambda t: 0.5, lambda t: np.where(t > 0.9, np.nan, t)])
+    def test_malformed_target_output_rejected(self, default_density, fn):
+        with pytest.raises(DomainError):
+            approximate(OperatorConfig(16), default_density, spec_from(fn), 0.95)
 
 
 class TestReproduction:

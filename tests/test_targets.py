@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from nnapprox import (
+    DomainError,
     FunctionSpec,
     InputError,
     ParameterError,
@@ -101,3 +102,14 @@ class TestFunctionSpec:
         f = make_function("linear")
         assert isinstance(f(0.5), float)
         assert f(np.array([0.1, 0.2])).shape == (2,)
+
+    @pytest.mark.parametrize("fn", [
+        lambda x: 1.0,                      # scalar instead of one value per point
+        lambda x: np.zeros(2),              # wrong length
+        lambda x: np.where(x > 0.5, np.nan, x),
+        lambda x: np.where(x == 0.0, np.inf, x),
+    ])
+    def test_malformed_output_rejected(self, fn):
+        f = FunctionSpec("bad", (), 1.0, "clamp", fn=fn)
+        with pytest.raises(DomainError):
+            f(np.array([0.0, 0.25, 0.75]))
