@@ -103,7 +103,13 @@ def _expit_diff(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
 
 
 def _exponent_argument(params: ActivationParams, x: np.ndarray) -> np.ndarray:
-    """Signed argument fed to the logistic: rate * sign(x) * |x|**alpha."""
+    """Signed argument fed to the logistic: rate * sign(x) * |x|**alpha.
+
+    The one exponent formula of the package.  Literal mode evaluates it at
+    ``-|x|``, which gives ``-rate * |x|**alpha``.
+    """
+    if params.mode == "literal":
+        x = -np.abs(x)
     with np.errstate(over="ignore", under="ignore"):
         mag = np.abs(x) ** params.alpha
         return params.rate * np.sign(x) * mag
@@ -117,12 +123,7 @@ def activation_value(params: ActivationParams, x):
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)):
         raise InputError("activation input must be finite")
-    if params.mode == "sigmoid":
-        t = _exponent_argument(params, arr)
-    else:
-        with np.errstate(over="ignore", under="ignore"):
-            t = -params.rate * np.abs(arr) ** params.alpha
-    out = np.clip(_stable_expit(t), _LO, _HI)
+    out = np.clip(_stable_expit(_exponent_argument(params, arr)), _LO, _HI)
     if np.ndim(x) == 0:
         return float(out)
     return out

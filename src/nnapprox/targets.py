@@ -36,8 +36,9 @@ class FunctionSpec:
     fn: Callable[[np.ndarray], np.ndarray] = field(compare=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.half_width, (int, float)) and self.half_width > 0.0):
-            raise ParameterError(f"half_width must be positive, got {self.half_width!r}")
+        a = self.half_width
+        if isinstance(a, bool) or not isinstance(a, (int, float)) or not 0.0 < a < math.inf:
+            raise ParameterError(f"half_width must be positive and finite, got {a!r}")
         if self.extension not in _EXTENSIONS:
             raise ParameterError(
                 f"extension must be one of {_EXTENSIONS}, got {self.extension!r}"

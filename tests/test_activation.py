@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nnapprox import ActivationParams, InputError, ParameterError, activation_value
+from nnapprox import (
+    ActivationParams,
+    InputError,
+    ParameterError,
+    SymmetrizedDensity,
+    activation_value,
+)
+from nnapprox.activation import _expit_diff, _stable_expit
 
 
 class TestFrozenValues:
@@ -116,3 +123,45 @@ class TestValidation:
         assert isinstance(activation_value(default_params, 0.3), float)
         out = activation_value(default_params, np.array([0.1, 0.2]))
         assert out.shape == (2,)
+
+
+class TestOneExponentFormula:
+    """Activation and kernel values equal the formulas they had when each
+    module wrote its exponent out by hand, bit for bit."""
+
+    GRID = np.concatenate([
+        [0.0, 1.0, -1.0, 1e3, -1e3, 2.0, -2.0, 1e-300, -1e-300],
+        np.linspace(-40.0, 40.0, 801),
+    ])
+    PARAMS = [(2.0, 1.0, 1.0), (2.0, 1.0, 0.5), (0.3, 2.5, 0.7), (1.1, 0.5, 0.3)]
+
+    @staticmethod
+    def _old_exponent(p, x):
+        with np.errstate(over="ignore", under="ignore"):
+            if p.mode == "sigmoid":
+                return p.rate * np.sign(x) * np.abs(x) ** p.alpha
+            return -p.rate * np.abs(x) ** p.alpha
+
+    @pytest.mark.parametrize("mode", ["sigmoid", "literal"])
+    @pytest.mark.parametrize("q,theta,alpha", PARAMS)
+    def test_activation_bit_identical(self, q, theta, alpha, mode):
+        p = ActivationParams(q, theta, alpha, 1.0, mode)
+        lo, hi = np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)
+        old = np.clip(_stable_expit(self._old_exponent(p, self.GRID)), lo, hi)
+        np.testing.assert_array_equal(activation_value(p, self.GRID), old)
+
+    @pytest.mark.parametrize("mode", ["sigmoid", "literal"])
+    @pytest.mark.parametrize("q,theta,alpha", PARAMS)
+    def test_kernel_bit_identical(self, q, theta, alpha, mode):
+        p = ActivationParams(q, theta, alpha, 1.0, mode)
+        t1 = self._old_exponent(p, self.GRID + 1.0)
+        t2 = self._old_exponent(p, self.GRID - 1.0)
+        if mode == "sigmoid":
+            old = 0.5 * _expit_diff(t1, t2)
+        else:
+            sign = np.where(t1 >= t2, 1.0, -1.0)
+            old = 0.5 * sign * _expit_diff(np.maximum(t1, t2), np.minimum(t1, t2))
+        np.testing.assert_array_equal(SymmetrizedDensity(p).value(self.GRID), old)
+        np.testing.assert_array_equal(
+            SymmetrizedDensity(p)._phi(self.GRID), _stable_expit(self._old_exponent(p, self.GRID))
+        )

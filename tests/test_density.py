@@ -1,4 +1,4 @@
-"""Kernel values, normalization, lattice sums, moments, and tail certification.
+"""Kernel values, normalization, lattice sums, moments, and analytic tail radii.
 
 Wide-window compensated summation over raw kernel values serves as the
 independent oracle for every windowed-sum operation, and scipy quadrature
@@ -10,7 +10,11 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
+from test_operator_oracle import KERNELS
+from test_operator_oracle import _kernel as oracle_kernel
 
 from nnapprox import (
     ActivationParams,
@@ -92,21 +96,20 @@ class TestPartitionSum:
                 wide_lattice_sum(d, u, radius, 0), abs=1e-13
             )
 
-    def test_fast_path_equals_direct_summation_on_heavy_tail(self):
-        # Heavy-tailed parameters force the telescoped tail path; check it
-        # against brute-force summation over the identical window.
-        d = SymmetrizedDensity(ActivationParams(1.5, 0.5, 0.3, 1.0, "sigmoid"))
-        K = d._partition_radius(1e-6)
-        assert K > 8192  # fast path actually engaged
+    def test_telescoped_sum_equals_direct_summation_on_heavy_tail(self):
+        # The translate sum telescopes to four phi values; check it against
+        # brute-force summation over the identical window of about 1.2M terms.
+        d = SymmetrizedDensity(ActivationParams(*KERNELS["heavy-tail"]))
+        K = d._partition_radius(1e-10)
+        assert K > 500_000
         u = 0.37
-        k0, k1 = math.ceil(u - K), math.floor(u + K)
-        k = np.arange(k0, k1 + 1, dtype=float)
-        chunks = [
-            float(np.sum(d.value(u - c))) for c in np.array_split(k, max(1, k.size // 2**18))
-        ]
-        assert d._windowed_partition(u, k0, k1) == pytest.approx(
-            math.fsum(chunks), abs=1e-11
-        )
+        k = np.arange(math.ceil(u - K), math.floor(u + K) + 1, dtype=float)
+        chunks = [float(np.sum(d.value(u - c))) for c in np.array_split(k, k.size // 2**18)]
+        assert d.partition_sum(u, 1e-10) == pytest.approx(math.fsum(chunks), abs=1e-12)
+
+    def test_offset_past_two_to_the_53(self, default_density):
+        # Past 2**53 float offsets are integers; the sum depends on u mod 1 only.
+        assert default_density.partition_sum(1e17, 1e-10) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestLatticeMoments:
@@ -144,6 +147,32 @@ class TestLatticeMoments:
     def test_literal_moments_finite(self, literal_density):
         got = literal_density.second_lattice_moment(0.37, 1e-8)
         assert math.isfinite(got)
+
+    def test_second_moment_offset_past_two_to_the_53(self, default_density):
+        got = default_density.second_lattice_moment(1e17, 1e-10)
+        assert got == pytest.approx(wide_lattice_sum(default_density, 0.0, 400.0, 2), abs=1e-10)
+        assert got == pytest.approx(7.18, abs=0.01)
+
+
+DENSITIES = {
+    "alpha=1": SymmetrizedDensity(ActivationParams(2.0, 1.0, 1.0)),
+    "alpha=0.5": SymmetrizedDensity(ActivationParams(2.0, 1.0, 0.5)),
+    "literal": SymmetrizedDensity(ActivationParams(2.0, 1.0, 0.7, 1.0, "literal")),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    kernel=st.sampled_from(sorted(DENSITIES)),
+    j=st.integers(-(2**12), 2**12),
+    m=st.integers(-(2**40), 2**40),
+)
+def test_lattice_sums_invariant_under_integer_shift(kernel, j, m):
+    # u = j / 1024 keeps u + m exact, so the reduced offsets agree exactly.
+    d = DENSITIES[kernel]
+    u = j / 1024.0
+    for fn in (d.partition_sum, d.first_lattice_moment, d.second_lattice_moment):
+        assert fn(u + m, 1e-10) == fn(u, 1e-10)
 
 
 class TestContinuousMoments:
@@ -200,18 +229,79 @@ class TestTailCutoff:
         d = SymmetrizedDensity(ActivationParams(2.0, 1.0, 0.5, 1.0, "sigmoid"))
         assert math.isfinite(d.tail_cutoff(1e-10))
 
-    def test_memoized_map_exposed(self, default_density):
-        default_density.tail_cutoff(1e-7)
-        assert 1e-7 in default_density.tail_radius
-
-    def test_doubling_budget_failure_raises(self):
+    def test_window_budget_failure_raises(self):
+        # The second-moment window here spans more than 8e8 lattice terms.
         d = SymmetrizedDensity(ActivationParams(1.5, 0.5, 0.3, 1.0, "sigmoid"))
+        assert 2.0 * d.tail_cutoff(1e-12) + 1.0 > 8e8
         with pytest.raises(NumericalError):
-            d._moment_radius(1e-12)
+            d.second_lattice_moment(0.37, 1e-12)
+
+    @staticmethod
+    def _lattice_calls(d):
+        return [
+            lambda: d.tail_cutoff(1e-10),
+            lambda: d.partition_sum(0.3, 1e-10),
+            lambda: d.first_lattice_moment(0.3, 1e-10),
+            lambda: d.second_lattice_moment(0.3, 1e-10),
+        ]
+
+    @pytest.mark.parametrize("params", [(1.0001, 0.01, 0.01), (2.0, 1.0, 1e-300)])
+    def test_overflowing_radius_raises(self, params):
+        d = SymmetrizedDensity(ActivationParams(*params))
+        calls = self._lattice_calls(d) + [
+            lambda: d.integral(1e-8),
+            lambda: d.continuous_moment(2, 1e-8),
+        ]
+        for call in calls:
+            with pytest.raises(NumericalError):
+                call()
+
+    def test_radius_above_two_to_the_52_raises(self):
+        # The translate-sum radius 1 + (54 ln 2)**10 is finite, about 5.5e15.
+        d = SymmetrizedDensity(ActivationParams(math.e, 1.0, 0.1))
+        for call in self._lattice_calls(d):
+            with pytest.raises(NumericalError):
+                call()
 
     def test_bad_tolerance_rejected(self, default_density):
         with pytest.raises(InputError):
             default_density.tail_cutoff(0.0)
+
+
+# The heavy kernels are checked at a looser tolerance to keep the brute-force
+# sums affordable; the radius formula is the same at every tolerance.
+RADIUS_TOL = {"alpha=1": 2.0**-53, "alpha=0.5": 2.0**-53, "alpha=0.3": 1e-4, "heavy-tail": 1e-4}
+_BLOCK = 1 << 16
+
+
+def brute_force_tails(p, u, inner, outer, radius, power):
+    """Sums of |k-u|**power |W(u-k)| over inner < |k-u| <= outer and over
+    radius < |k-u| <= outer, with the oracle kernel, block by block."""
+    wide = narrow = 0.0
+    for lo, hi in ((math.floor(u + inner) + 1, math.floor(u + outer)),
+                   (math.ceil(u - outer), math.ceil(u - inner) - 1)):
+        for start in range(lo, hi + 1, _BLOCK):
+            k = np.arange(start, min(start + _BLOCK, hi + 1), dtype=float)
+            x = np.abs(k - u)
+            terms = x**power * np.abs(oracle_kernel(p, u - k))
+            wide += float(np.sum(terms))
+            narrow += float(np.sum(terms[x > radius]))
+    return wide, narrow
+
+
+@pytest.mark.parametrize("power", [0, 1, 2])
+@pytest.mark.parametrize("kernel", list(KERNELS))
+def test_radius_bounds_true_tail_within_factor_two(kernel, power):
+    # The true dropped tail, summed out to three radii, is at most the
+    # tolerance at the radius, and above it at half the radius, so the
+    # radius is within 2x of the smallest one that empirically suffices.
+    d = SymmetrizedDensity(ActivationParams(*KERNELS[kernel]))
+    tol = RADIUS_TOL[kernel]
+    R = d._radius(power, tol)
+    half = math.ceil(R / 2) - 1
+    tails = [brute_force_tails(d.params, u, half, 3 * R, R, power) for u in (0.0, 0.37, 0.999)]
+    assert max(at_r for _, at_r in tails) <= tol
+    assert max(at_half for at_half, _ in tails) > tol
 
 
 class TestConcurrency:

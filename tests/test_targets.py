@@ -93,6 +93,16 @@ class TestFunctionSpec:
         with pytest.raises(ParameterError):
             make_function("sin", half_width=0.0)
 
+    @pytest.mark.parametrize("half_width", [True, False])
+    def test_bool_half_width_rejected(self, half_width):
+        with pytest.raises(ParameterError):
+            FunctionSpec("f", (), half_width, "clamp", fn=lambda x: x)
+
+    @pytest.mark.parametrize("half_width", [float("inf"), float("nan")])
+    def test_non_finite_half_width_rejected(self, half_width):
+        with pytest.raises(ParameterError):
+            FunctionSpec("f", (), half_width, "clamp", fn=lambda x: x)
+
     def test_equality_ignores_callable_identity(self):
         a = make_function("sin", (2.0,), 1.5, "zero")
         b = make_function("sin", (2.0,), 1.5, "zero")
