@@ -8,11 +8,9 @@ Exit codes: 0 success, 2 validation error, 3 numerical error, 4 I/O error.
 from __future__ import annotations
 
 import argparse
-import json
-import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -24,8 +22,8 @@ from .moduli import modulus, second_modulus
 from .study import (
     convergence_sweep,
     fit_loglog_slope,
-    records_to_csv,
-    records_to_json,
+    format_table,
+    records_table,
     stability_suite,
 )
 from .targets import make_function
@@ -38,29 +36,40 @@ OUTPUT_DIR_ENV = "NNAPPROX_OUTPUT_DIR"
 _STABILITY_PAIRS = 50
 
 
+def _opt(default, help=None, flag=None, choices=None):
+    """A RunConfig field; its flag is --<name with dashes> unless ``flag`` is given."""
+    return field(default=default, metadata={"help": help, "flag": flag, "choices": choices})
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully resolved settings for one subcommand invocation."""
+    """Fully resolved settings for one subcommand invocation.
 
-    q: float = 2.0
-    theta: float = 1.0
-    alpha: float = 1.0
-    scale: float = 1.0
-    mode: str = "sigmoid"
-    n: int = 64
-    n_list: tuple[int, ...] = (8, 16, 32, 64, 128, 256, 512)
-    truncation_eps: float = 1e-10
-    eval_mode: str = "renormalized"
-    extension: str = "clamp"
-    fn: str = "sin"
-    fn_params: tuple[float, ...] | None = None
-    half_width: float = 1.0
-    grid_points: int = 1001
-    w_radius: float = 6.0
-    t_list: tuple[float, ...] | None = None
-    out: str | None = None
-    format: str = "csv"
-    timed_output: bool = False
+    Each field is one flag and one config-file key, parsed by its annotation.
+    """
+
+    q: float = _opt(2.0, "deformation base (> 0, != 1)")
+    theta: float = _opt(1.0, "steepness (> 0)")
+    alpha: float = _opt(1.0, "fractional exponent in (0, 1]")
+    scale: float = _opt(1.0, "auxiliary scale on theta (> 0)")
+    mode: str = _opt("sigmoid", choices=("literal", "sigmoid"))
+    n: int = _opt(64, "sampling density")
+    n_list: tuple[int, ...] = _opt((8, 16, 32, 64, 128, 256, 512), "comma-separated n sweep")
+    truncation_eps: float = _opt(1e-10)
+    eval_mode: str = _opt("renormalized", choices=("raw", "renormalized"))
+    extension: str = _opt("clamp", choices=("clamp", "zero", "none"))
+    fn: str = _opt("sin", "target function name")
+    fn_params: tuple[float, ...] | None = _opt(None, "comma-separated target parameters")
+    half_width: float = _opt(1.0, "domain half-width", flag="--a")
+    grid_points: int = _opt(1001)
+    w_radius: float = _opt(6.0, "kernel sampling radius (density)")
+    t_list: tuple[float, ...] | None = _opt(None, "comma-separated widths for the moduli sweep")
+    out: str | None = _opt(None, "output file path")
+    format: str = _opt("csv", choices=("csv", "json"))
+    timed_output: bool = _opt(
+        False,
+        "write measured timings into output files (breaks byte-for-byte reproducibility)",
+    )
 
     def to_config_text(self) -> str:
         """Serialize as key=value lines; parse_config reads the same format."""
@@ -105,56 +114,30 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-_FIELD_PARSERS = {
-    "q": float,
-    "theta": float,
-    "alpha": float,
-    "scale": float,
-    "mode": str,
-    "n": int,
-    "n_list": _parse_int_tuple,
-    "truncation_eps": float,
-    "eval_mode": str,
-    "extension": str,
-    "fn": str,
-    "fn_params": _parse_float_tuple,
-    "half_width": float,
-    "grid_points": int,
-    "w_radius": float,
-    "t_list": _parse_float_tuple,
-    "out": _parse_optional_str,
-    "format": str,
-    "timed_output": _parse_bool,
+# RunConfig annotation (a string, under postponed evaluation) -> value parser.
+_PARSERS = {
+    "float": float,
+    "int": int,
+    "str": str,
+    "str | None": _parse_optional_str,
+    "bool": _parse_bool,
+    "tuple[int, ...]": _parse_int_tuple,
+    "tuple[float, ...] | None": _parse_float_tuple,
 }
+_FIELDS = {f.name: f for f in fields(RunConfig)}
 
 
 def _flag_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="nnapprox <subcommand>", add_help=True)
-    s = argparse.SUPPRESS
     p.add_argument("--config", default=None, help="key=value config file")
-    p.add_argument("--q", type=float, default=s, help="deformation base (> 0, != 1)")
-    p.add_argument("--theta", type=float, default=s, help="steepness (> 0)")
-    p.add_argument("--alpha", type=float, default=s, help="fractional exponent in (0, 1]")
-    p.add_argument("--scale", type=float, default=s, help="auxiliary scale on theta (> 0)")
-    p.add_argument("--mode", choices=("literal", "sigmoid"), default=s)
-    p.add_argument("--n", type=int, default=s, help="sampling density")
-    p.add_argument("--n-list", type=_parse_int_tuple, default=s, help="comma-separated n sweep")
-    p.add_argument("--truncation-eps", type=float, default=s)
-    p.add_argument("--eval-mode", choices=("raw", "renormalized"), default=s)
-    p.add_argument("--extension", choices=("clamp", "zero", "none"), default=s)
-    p.add_argument("--fn", default=s, help="target function name")
-    p.add_argument("--fn-params", type=_parse_float_tuple, default=s,
-                   help="comma-separated target parameters")
-    p.add_argument("--a", dest="half_width", type=float, default=s, help="domain half-width")
-    p.add_argument("--grid-points", type=int, default=s)
-    p.add_argument("--w-radius", type=float, default=s, help="kernel sampling radius (density)")
-    p.add_argument("--t-list", type=_parse_float_tuple, default=s,
-                   help="comma-separated widths for the moduli sweep")
-    p.add_argument("--out", default=s, help="output file path")
-    p.add_argument("--format", choices=("csv", "json"), default=s)
-    p.add_argument("--timed-output", action="store_true", default=s,
-                   help="write measured timings into output files (breaks byte-for-byte "
-                        "reproducibility)")
+    for f in _FIELDS.values():
+        meta = f.metadata
+        if f.type == "bool":
+            kind = {"action": "store_true"}
+        else:
+            kind = {"type": _PARSERS[f.type], "choices": meta["choices"]}
+        p.add_argument(meta["flag"] or "--" + f.name.replace("_", "-"), dest=f.name,
+                       default=argparse.SUPPRESS, help=meta["help"], **kind)
     return p
 
 
@@ -169,16 +152,22 @@ def _read_config_file(path: str) -> dict:
                 raise InputError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, _, text = line.partition("=")
             key = key.strip()
-            if key not in _FIELD_PARSERS:
+            if key not in _FIELDS:
                 raise InputError(f"{path}:{lineno}: unknown config key {key!r}")
             try:
-                values[key] = _FIELD_PARSERS[key](text.strip())
+                values[key] = _PARSERS[_FIELDS[key].type](text.strip())
             except ValueError as exc:
                 raise InputError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
     return values
 
 
 def _validate(cfg: RunConfig) -> RunConfig:
+    for f in _FIELDS.values():
+        choices = f.metadata["choices"]
+        if choices is not None and getattr(cfg, f.name) not in choices:
+            raise ParameterError(
+                f"{f.name} must be one of {', '.join(choices)}, got {getattr(cfg, f.name)!r}"
+            )
     # Reuse the owning modules' validators so messages name the offending key.
     ActivationParams(cfg.q, cfg.theta, cfg.alpha, cfg.scale, cfg.mode)
     OperatorConfig(cfg.n, cfg.truncation_eps, cfg.eval_mode)
@@ -187,13 +176,10 @@ def _validate(cfg: RunConfig) -> RunConfig:
         raise ParameterError(f"grid_points must be >= 2, got {cfg.grid_points}")
     if cfg.w_radius <= 0.0:
         raise ParameterError(f"w_radius must be positive, got {cfg.w_radius}")
-    if cfg.format not in ("csv", "json"):
-        raise ParameterError(f"format must be csv or json, got {cfg.format!r}")
-    for n in cfg.n_list:
-        if n < 1:
-            raise ParameterError(f"n_list entries must be >= 1, got {n}")
-    if cfg.t_list is not None and any(t <= 0.0 for t in cfg.t_list):
-        raise ParameterError("t_list entries must be positive")
+    if not cfg.n_list or any(n < 1 for n in cfg.n_list):
+        raise ParameterError(f"n_list must be nonempty with entries >= 1, got {cfg.n_list}")
+    if cfg.t_list is not None and (not cfg.t_list or any(t <= 0.0 for t in cfg.t_list)):
+        raise ParameterError(f"t_list must be none or positive widths, got {cfg.t_list}")
     return cfg
 
 
@@ -203,27 +189,17 @@ def parse_config(argv, config_file: str | None = None) -> RunConfig:
     provided = {k: v for k, v in vars(ns).items() if k != "config"}
     path = ns.config if ns.config is not None else config_file
     file_values = _read_config_file(path) if path else {}
-    merged = {**file_values, **provided}
-    try:
-        cfg = replace(RunConfig(), **merged)
-    except TypeError as exc:
-        raise InputError(str(exc)) from exc
-    return _validate(cfg)
+    return _validate(replace(RunConfig(), **{**file_values, **provided}))
 
 
 # -- subcommand bodies ---------------------------------------------------------
-
-
-def _fmt(x: float) -> str:
-    return "%.17g" % x
 
 
 def _out_path(name: str, cfg: RunConfig) -> str:
     if cfg.out is not None:
         return cfg.out
     base = os.environ.get(OUTPUT_DIR_ENV, ".")
-    ext = "csv" if cfg.format == "csv" else "json"
-    return os.path.join(base, f"{name}.{ext}")
+    return os.path.join(base, f"{name}.{cfg.format}")
 
 
 def _write(path: str, text: str) -> None:
@@ -242,29 +218,11 @@ def _run_density(cfg: RunConfig, path: str) -> str:
     xs = np.linspace(-cfg.w_radius, cfg.w_radius, cfg.grid_points)
     ws = d.value(xs)
     moments = [d.continuous_moment(k, 1e-8) for k in (0, 1, 2)]
-    if cfg.format == "csv":
-        lines = ["x,w"]
-        lines += [f"{_fmt(x)},{_fmt(w)}" for x, w in zip(xs, ws)]
-        lines.append("")
-        lines.append("order,value,error_estimate")
-        lines += [
-            f"{m.order},{_fmt(m.value)},{_fmt(m.quadrature_error_estimate)}"
-            for m in moments
-        ]
-        _write(path, "\n".join(lines) + "\n")
-    else:
-        payload = {
-            "samples": [{"x": float(x), "w": float(w)} for x, w in zip(xs, ws)],
-            "moments": [
-                {
-                    "order": m.order,
-                    "value": m.value,
-                    "error_estimate": m.quadrature_error_estimate,
-                }
-                for m in moments
-            ],
-        }
-        _write(path, json.dumps(payload, indent=2) + "\n")
+    _write(path, format_table(cfg.format, {
+        "samples": (("x", "w"), list(zip(xs.tolist(), ws.tolist()))),
+        "moments": (("order", "value", "error_estimate"),
+                    [(m.order, m.value, m.quadrature_error_estimate) for m in moments]),
+    }))
     summary = f"density: moment order 0 = {moments[0].value:.6g}, wrote {path}"
     if cfg.mode == "literal":
         summary += (
@@ -282,19 +240,8 @@ def _run_approx(cfg: RunConfig, path: str) -> str:
     target = f(xs)
     approx = approximate_grid(op, d, f, xs)
     err = np.abs(approx - target)
-    if cfg.format == "csv":
-        lines = ["x,target,operator,abs_error"]
-        lines += [
-            f"{_fmt(x)},{_fmt(t)},{_fmt(s)},{_fmt(e)}"
-            for x, t, s, e in zip(xs, target, approx, err)
-        ]
-        _write(path, "\n".join(lines) + "\n")
-    else:
-        payload = [
-            {"x": float(x), "target": float(t), "operator": float(s), "abs_error": float(e)}
-            for x, t, s, e in zip(xs, target, approx, err)
-        ]
-        _write(path, json.dumps(payload, indent=2) + "\n")
+    rows = list(zip(xs.tolist(), target.tolist(), approx.tolist(), err.tolist()))
+    _write(path, format_table(cfg.format, {None: (("x", "target", "operator", "abs_error"), rows)}))
     summary = f"approx: n={cfg.n} max |error| = {float(err.max()):.6g}, wrote {path}"
     if cfg.mode == "literal":
         summary += "  [warning: literal kernel output is not normalized]"
@@ -304,21 +251,10 @@ def _run_approx(cfg: RunConfig, path: str) -> str:
 def _run_moduli(cfg: RunConfig, path: str) -> str:
     f = make_function(cfg.fn, cfg.fn_params, cfg.half_width, cfg.extension)
     t_list = cfg.t_list if cfg.t_list is not None else tuple(1.0 / n for n in cfg.n_list)
-    rows = []
-    for t in t_list:
-        om = modulus(f, t, t / 4.0)
-        om2 = second_modulus(f, t, t / 4.0)
-        rows.append((t, om.value, om2.value))
-    if cfg.format == "csv":
-        lines = ["t,modulus,second_modulus"]
-        lines += [f"{_fmt(t)},{_fmt(m)},{_fmt(m2)}" for t, m, m2 in rows]
-        _write(path, "\n".join(lines) + "\n")
-    else:
-        payload = [
-            {"t": float(t), "modulus": float(m), "second_modulus": float(m2)}
-            for t, m, m2 in rows
-        ]
-        _write(path, json.dumps(payload, indent=2) + "\n")
+    rows = [
+        (t, modulus(f, t, t / 4.0).value, second_modulus(f, t, t / 4.0).value) for t in t_list
+    ]
+    _write(path, format_table(cfg.format, {None: (("t", "modulus", "second_modulus"), rows)}))
     return f"moduli: {len(rows)} widths for fn={cfg.fn}, wrote {path}"
 
 
@@ -333,10 +269,7 @@ def _run_converge(cfg: RunConfig, path: str) -> str:
         fit = fit_loglog_slope(records)
     except InputError:
         fit = None
-    if cfg.format == "csv":
-        _write(path, records_to_csv(records, fit, include_timings=cfg.timed_output))
-    else:
-        _write(path, records_to_json(records, fit, include_timings=cfg.timed_output))
+    _write(path, format_table(cfg.format, *records_table(records, fit, cfg.timed_output)))
     if fit is None:
         return f"converge: {len(records)} rows, no rate fit (errors at floor), wrote {path}"
     return (
@@ -356,19 +289,8 @@ def _run_stability(cfg: RunConfig, path: str) -> str:
     ]
     grid = np.linspace(-cfg.half_width, cfg.half_width, cfg.grid_points)
     results = stability_suite(d, op, pairs, grid)
-    if cfg.format == "csv":
-        lines = ["pair,gap,bound,pass"]
-        lines += [
-            f"{i},{_fmt(gap)},{_fmt(bound)},{str(ok).lower()}"
-            for i, (gap, bound, ok) in enumerate(results)
-        ]
-        _write(path, "\n".join(lines) + "\n")
-    else:
-        payload = [
-            {"pair": i, "gap": gap, "bound": bound, "pass": ok}
-            for i, (gap, bound, ok) in enumerate(results)
-        ]
-        _write(path, json.dumps(payload, indent=2) + "\n")
+    rows = [(i, gap, bound, ok) for i, (gap, bound, ok) in enumerate(results)]
+    _write(path, format_table(cfg.format, {None: (("pair", "gap", "bound", "pass"), rows)}))
     passed = sum(1 for _, _, ok in results if ok)
     return f"stability: {passed}/{len(results)} pass, wrote {path}"
 

@@ -42,15 +42,16 @@ def _grid(f: FunctionSpec, grid_step: float) -> tuple[np.ndarray, float]:
     return xs, 2.0 * a / m
 
 
-def _window_steps(t: float, h: float) -> int:
+def _window_steps(t: float, h: float, cap: int) -> int:
     # Pairs within w grid steps satisfy |x - y| <= t; the 1e-9 slack absorbs
-    # the rounding in h itself.
-    return int(math.floor(t / h * (1.0 + 1e-9)))
+    # the rounding in h itself.  Capping before the conversion keeps a t near
+    # the float maximum from overflowing t / h.
+    return int(min(t / h * (1.0 + 1e-9), cap))
 
 
 def _check_widths(t: float, grid_step: float) -> None:
-    if not (isinstance(t, (int, float)) and t > 0.0):
-        raise InputError(f"width t must be positive, got {t!r}")
+    if not (isinstance(t, (int, float)) and 0.0 < t < math.inf):
+        raise InputError(f"width t must be positive and finite, got {t!r}")
     if not 0.0 < grid_step <= t:
         raise InputError(f"grid_step must lie in (0, t], got {grid_step!r} for t={t!r}")
 
@@ -63,7 +64,7 @@ def modulus(f: FunctionSpec, t: float, grid_step: float) -> ModulusEstimate:
     _check_widths(t, grid_step)
     xs, h = _grid(f, grid_step)
     vals = f(xs)
-    w = min(_window_steps(t, h), xs.size - 1)
+    w = _window_steps(t, h, xs.size - 1)
     if w < 1:
         return ModulusEstimate(float(t), 0.0, h)
     windows = np.lib.stride_tricks.sliding_window_view(vals, w + 1)
@@ -77,7 +78,7 @@ def second_modulus(f: FunctionSpec, t: float, grid_step: float) -> ModulusEstima
     _check_widths(t, grid_step)
     xs, h = _grid(f, grid_step)
     vals = f(xs)
-    w = min(_window_steps(t, h), (xs.size - 1) // 2)
+    w = _window_steps(t, h, (xs.size - 1) // 2)
     best = 0.0
     for m in range(1, w + 1):
         d2 = np.abs(vals[2 * m:] - 2.0 * vals[m:-m] + vals[:-2 * m])

@@ -9,7 +9,6 @@ but written as zero by default so that repeated runs stay byte-identical.
 from __future__ import annotations
 
 import json
-import math
 import time
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -29,6 +28,8 @@ __all__ = [
     "fit_loglog_slope",
     "second_moment_uniformity",
     "stability_suite",
+    "format_table",
+    "records_table",
     "records_to_csv",
     "records_to_json",
 ]
@@ -159,8 +160,70 @@ def stability_suite(
 # -- serialization ------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return "%.17g" % x
+def format_table(fmt: str, tables: dict, footer: tuple[str, object] | None = None) -> str:
+    """Render tables as CSV or JSON text; the one writer behind every output file.
+
+    ``tables`` maps a name to ``(columns, rows)``.  CSV writes each table as a
+    header plus rows, separates tables by a blank line and ends with a
+    ``# {json}`` line when the footer value is not None.  JSON writes a single
+    table named None as a list of row objects, and otherwise an object of named
+    row lists with the ``(key, value)`` footer under its key.
+    """
+    if fmt == "csv":
+        text = "\n\n".join(_csv_block(columns, rows) for columns, rows in tables.values())
+        if footer is not None and footer[1] is not None:
+            text += "\n# " + json.dumps(footer[1])
+        return text + "\n"
+    if fmt != "json":
+        raise InputError(f"format must be csv or json, got {fmt!r}")
+    payload = {
+        name: [dict(zip(columns, row)) for row in rows]
+        for name, (columns, rows) in tables.items()
+    }
+    if footer is not None:
+        payload[footer[0]] = footer[1]
+    if list(payload) == [None]:
+        payload = payload[None]
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def _csv_block(columns: Sequence[str], rows: Sequence[tuple]) -> str:
+    lines = [",".join(columns)]
+    if rows:
+        # One %-template per table, typed from the first row; %.17g round-trips
+        # every float.  Neither %d nor %.17g prints a capital letter, so
+        # lower-casing a row only turns True/False into JSON's true/false.
+        template = ",".join(
+            "%s" if isinstance(v, bool) else "%d" if isinstance(v, int) else "%.17g"
+            for v in rows[0]
+        )
+        body = [template % row for row in rows]
+        if "%s" in template:
+            body = [line.lower() for line in body]
+        lines += body
+    return "\n".join(lines)
+
+
+def records_table(
+    records: Sequence[ConvergenceRecord],
+    fit: RateFit | None = None,
+    include_timings: bool = False,
+) -> tuple[dict, tuple[str, dict | None]]:
+    """Sweep records as ``format_table`` arguments: a ``records`` table and a
+    ``rate_fit`` footer.
+
+    Timings are zeroed unless ``include_timings`` so identical inputs yield
+    byte-identical output.
+    """
+    rows = [
+        (r.n, r.sup_error, r.omega_bound, r.omega2_bound, r.second_moment_scaled,
+         r.wall_time_ms if include_timings else 0.0)
+        for r in records
+    ]
+    rate_fit = None if fit is None else {
+        "slope": fit.slope, "intercept": fit.intercept, "r_squared": fit.r_squared
+    }
+    return {"records": (CSV_COLUMNS, rows)}, ("rate_fit", rate_fit)
 
 
 def records_to_csv(
@@ -168,30 +231,8 @@ def records_to_csv(
     fit: RateFit | None = None,
     include_timings: bool = False,
 ) -> str:
-    """Sweep records as CSV; the rate fit rides along as a '#'-prefixed JSON footer.
-
-    Timings are zeroed unless ``include_timings`` so identical inputs yield
-    byte-identical output.
-    """
-    lines = [",".join(CSV_COLUMNS)]
-    for r in records:
-        wall = r.wall_time_ms if include_timings else 0.0
-        lines.append(
-            ",".join(
-                [
-                    str(r.n),
-                    _fmt(r.sup_error),
-                    _fmt(r.omega_bound),
-                    _fmt(r.omega2_bound),
-                    _fmt(r.second_moment_scaled),
-                    _fmt(wall),
-                ]
-            )
-        )
-    if fit is not None:
-        footer = {"slope": fit.slope, "intercept": fit.intercept, "r_squared": fit.r_squared}
-        lines.append("# " + json.dumps(footer))
-    return "\n".join(lines) + "\n"
+    """Sweep records as CSV; the rate fit rides along as a '#'-prefixed JSON footer."""
+    return format_table("csv", *records_table(records, fit, include_timings))
 
 
 def records_to_json(
@@ -200,20 +241,4 @@ def records_to_json(
     include_timings: bool = False,
 ) -> str:
     """Sweep records as JSON with the same field names as the CSV columns."""
-    payload = {
-        "records": [
-            {
-                "n": r.n,
-                "sup_error": r.sup_error,
-                "omega_bound": r.omega_bound,
-                "omega2_bound": r.omega2_bound,
-                "second_moment_scaled": r.second_moment_scaled,
-                "wall_time_ms": r.wall_time_ms if include_timings else 0.0,
-            }
-            for r in records
-        ],
-        "rate_fit": None
-        if fit is None
-        else {"slope": fit.slope, "intercept": fit.intercept, "r_squared": fit.r_squared},
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    return format_table("json", *records_table(records, fit, include_timings))

@@ -6,6 +6,35 @@ import os
 import pytest
 
 from nnapprox.cli import RunConfig, main, parse_config, run_subcommand
+from nnapprox.errors import ParameterError
+
+# One non-default value per RunConfig field, as flag/config-file text and as
+# the value it parses to.
+NON_DEFAULT = {
+    "q": ("3.5", 3.5),
+    "theta": ("0.75", 0.75),
+    "alpha": ("0.5", 0.5),
+    "scale": ("1.25", 1.25),
+    "mode": ("literal", "literal"),
+    "n": ("32", 32),
+    "n_list": ("4,8,16", (4, 8, 16)),
+    "truncation_eps": ("1e-8", 1e-8),
+    "eval_mode": ("raw", "raw"),
+    "extension": ("zero", "zero"),
+    "fn": ("abs_pow", "abs_pow"),
+    "fn_params": ("0.25", (0.25,)),
+    "half_width": ("2.0", 2.0),
+    "grid_points": ("11", 11),
+    "w_radius": ("3.0", 3.0),
+    "t_list": ("0.5,0.25", (0.5, 0.25)),
+    "out": ("result.json", "result.json"),
+    "format": ("json", "json"),
+    "timed_output": ("true", True),
+}
+
+
+def _flag(name):
+    return "--a" if name == "half_width" else "--" + name.replace("_", "-")
 
 
 class TestParseConfig:
@@ -34,14 +63,43 @@ class TestParseConfig:
         assert "shape" in str(exc.value)
 
     def test_round_trip_through_config_text(self, tmp_path):
-        original = parse_config(
-            ["--q", "3", "--alpha", "0.7", "--n-list", "4,8,16", "--fn", "abs_pow",
-             "--fn-params", "0.25", "--format", "json", "--a", "2.0"]
-        )
-        path = tmp_path / "serialized.cfg"
-        path.write_text(original.to_config_text())
-        reparsed = parse_config(["--config", str(path)])
-        assert reparsed == original
+        # Every field off its default, then the defaults with their three Nones.
+        non_default = RunConfig(**{name: value for name, (_, value) in NON_DEFAULT.items()})
+        assert all(getattr(non_default, f) != getattr(RunConfig(), f) for f in NON_DEFAULT)
+        for original in (non_default, RunConfig()):
+            path = tmp_path / "serialized.cfg"
+            path.write_text(original.to_config_text())
+            reparsed = parse_config(["--config", str(path)])
+            assert reparsed == original
+
+    def test_every_field_is_a_flag_and_a_config_key(self):
+        assert set(NON_DEFAULT) == set(RunConfig.__dataclass_fields__)
+
+    @pytest.mark.parametrize("name", list(NON_DEFAULT))
+    def test_flag_and_config_key_give_same_config(self, name, tmp_path):
+        text, value = NON_DEFAULT[name]
+        argv = [_flag(name)] if name == "timed_output" else [_flag(name), text]
+        path = tmp_path / "one.cfg"
+        path.write_text(f"{name}={text}\n")
+        by_flag = parse_config(argv)
+        assert by_flag == parse_config(["--config", str(path)])
+        assert getattr(by_flag, name) == value != getattr(RunConfig(), name)
+
+    @pytest.mark.parametrize("name", ["mode", "eval_mode", "extension", "format"])
+    def test_choices_enforced_for_flags_and_config_keys(self, name, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"{name}=bogus\n")
+        with pytest.raises(ParameterError, match=name):
+            parse_config(["--config", str(path)])
+        assert main(["moduli", "--config", str(path)]) == 2
+        assert main(["moduli", _flag(name), "bogus"]) == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_out_none_means_default_path(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("out=none\n")
+        assert parse_config(["--out", "none"]).out is None
+        assert parse_config(["--config", str(path)]).out is None
 
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -67,6 +125,20 @@ class TestValidationExits:
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 2
         assert "frobnicate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subcommand", ["converge", "moduli"])
+    def test_empty_n_list_rejected(self, subcommand, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main([subcommand, "--n-list=", "--out", str(out)]) == 2
+        assert "n_list" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("t_list,message", [("", "t_list"), ("inf", "finite"),
+                                                ("1,inf", "finite")])
+    def test_empty_or_infinite_t_list_rejected(self, t_list, message, tmp_path, capsys):
+        out = tmp_path / "m.csv"
+        assert main(["moduli", f"--t-list={t_list}", "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_help_exits_zero(self, capsys):
         assert main([]) == 0
@@ -163,3 +235,64 @@ class TestDeterminism:
                             "--out", str(tmp_path / "m.csv")])
         assert run_subcommand("moduli", cfg) == 0
         assert (tmp_path / "m.csv").exists()
+
+
+def _csv_tables(text):
+    """CSV output as ([(header, rows)], footer text or None)."""
+    lines = text.rstrip("\n").split("\n")
+    footer = None
+    if lines[-1].startswith("# "):
+        footer = lines.pop()[2:]
+    blocks = "\n".join(lines).split("\n\n")
+    tables = []
+    for block in blocks:
+        header, *rows = block.split("\n")
+        tables.append((header.split(","), [row.split(",") for row in rows]))
+    return tables, footer
+
+
+# case -> (argv, top-level JSON keys, or None for a bare list of rows)
+AGREEMENT_CASES = {
+    "density": (["density", "--grid-points", "21", "--w-radius", "3"],
+                ["samples", "moments"]),
+    "density-literal": (["density", "--mode", "literal", "--grid-points", "11"],
+                        ["samples", "moments"]),
+    "approx": (["approx", "--fn", "runge", "--n", "16", "--grid-points", "21"], None),
+    "moduli": (["moduli", "--fn", "abs_pow", "--t-list", "0.5,0.25,0.125"], None),
+    "converge": (["converge", "--grid-points", "41", "--n-list", "8,16,32"],
+                 ["records", "rate_fit"]),
+    "converge-no-fit": (["converge", "--fn", "poly", "--fn-params", "1,0,0",
+                         "--n-list", "8,16"], ["records", "rate_fit"]),
+    "stability": (["stability", "--grid-points", "21"], None),
+}
+
+
+class TestFormatAgreement:
+    @pytest.mark.parametrize("case", list(AGREEMENT_CASES))
+    def test_csv_and_json_carry_the_same_table(self, case, tmp_path, capsys):
+        args, json_keys = AGREEMENT_CASES[case]
+        csv_path, json_path = tmp_path / "t.csv", tmp_path / "t.json"
+        assert main(args + ["--format", "csv", "--out", str(csv_path)]) == 0
+        assert main(args + ["--format", "json", "--out", str(json_path)]) == 0
+        tables, footer = _csv_tables(csv_path.read_text())
+        payload = json.loads(json_path.read_text())
+        assert (list(payload) if isinstance(payload, dict) else None) == json_keys
+        if isinstance(payload, list):
+            json_tables, rate_fit = [payload], None
+        else:
+            rate_fit = payload.pop("rate_fit", None)
+            json_tables = list(payload.values())
+        # No footer line at all where the JSON rate_fit is null.
+        assert (footer and json.loads(footer)) == rate_fit
+        if case == "converge-no-fit":
+            assert footer is None and "rate_fit" in json_path.read_text()
+        assert len(tables) == len(json_tables)
+        for (header, rows), objects in zip(tables, json_tables):
+            assert len(rows) == len(objects) > 0
+            for row, obj in zip(rows, objects):
+                assert header == list(obj)
+                for cell, value in zip(row, obj.values()):
+                    if isinstance(value, bool):
+                        assert cell == ("true" if value else "false")
+                    else:
+                        assert cell == "%.17g" % value

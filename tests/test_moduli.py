@@ -67,6 +67,19 @@ class TestModulus:
         with pytest.raises(InputError):
             modulus(f, 0.1, 0.2)
 
+    @pytest.mark.parametrize("estimator", [modulus, second_modulus])
+    def test_non_finite_widths_rejected(self, estimator):
+        f = make_function("sin")
+        for t, step in ((math.inf, 0.1), (math.inf, math.inf), (math.nan, 0.1), (0.5, math.nan)):
+            with pytest.raises(InputError):
+                estimator(f, t, step)
+
+    @pytest.mark.parametrize("estimator", [modulus, second_modulus])
+    def test_width_near_float_max_spans_whole_grid(self, estimator):
+        # t / h overflows to inf on a short domain; the window is the whole grid.
+        f = make_function("sin", None, 0.1)
+        assert estimator(f, 1.7e308, 0.05).value == estimator(f, 0.2, 0.05).value
+
     @settings(max_examples=30, deadline=None)
     @given(t1=st.floats(0.02, 0.4), t2=st.floats(0.02, 0.4))
     def test_subadditive_up_to_grid_slack(self, t1, t2):
