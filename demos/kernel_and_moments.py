@@ -40,7 +40,8 @@ for u in (0.0, 0.37, 2.5, -19.84):
 # Moments: the first vanishes by symmetry; the second sets the constant in the
 # quadratic error bound for twice-differentiable targets.  With alpha = 1 the
 # kernel is a logistic profile smeared by a unit-window average, so its second
-# moment has the closed form pi^2/(3 rate^2) + 1/3; the quadrature agrees.
+# moment has the closed form pi^2/(3 rate^2) + 1/3, which the library's general
+# Gamma-eta formula reproduces.
 m1 = d.continuous_moment(1, 1e-8)
 m2 = d.continuous_moment(2, 1e-8)
 lam = np.log(2.0)

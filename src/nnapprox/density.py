@@ -7,15 +7,16 @@ both the integral and the translate sums collapse to 0.
 
 Every truncation radius follows from the parameters alone, through the tail
 ``1 - phi(y) <= exp(-rate * y**alpha)``: the translates beyond a radius K
-telescope to a mass of at most ``2 * exp(-rate * (K - 1)**alpha)``, and
-weighted by ``|x|**p`` the tail is bounded by an upper incomplete gamma
-function, whose own bound is solved for K by a short bisection.  The lattice
-sums use the tolerance ``min(eps, 2**-53)``, so what a window drops stays below
-double-precision rounding; the integrals use their own tail budget.
+telescope to a mass of at most ``2 * exp(-rate * (K - 1)**alpha)``, and an
+upper incomplete gamma function bounds the ``|x|**p``-weighted tail.  Lattice
+sums use the tolerance ``min(eps, 2**-53)``, below double-precision rounding.
+The continuous moments need no radius: phi is a unit step (sigmoid mode only)
+plus a decaying part, whose moments are closed forms in Gamma and Dirichlet eta.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -23,20 +24,24 @@ import numpy as np
 
 from .activation import ActivationParams, _exponent_argument, _expit_diff, _stable_expit
 from .errors import InputError, NumericalError
-from .quadrature import adaptive_simpson
 
 __all__ = ["MomentReport", "SymmetrizedDensity"]
 
 _CHUNK = 1 << 18
-_LATTICE_TOL = 2.0**-53        # lattice windows drop less than double-precision rounding
+_UNIT_ROUNDOFF = 2.0**-53      # lattice windows drop less than this
 _MAX_RADIUS = 2.0**52          # beyond this, float lattice indices stop being integers
 _MAX_MOMENT_TERMS = 1 << 22
 _BISECTIONS = 60
+# Borwein (2000), algorithm 2: |eta(s) - sum_{k<24} w_k (k+1)**-s| <= eta(s) / d_24 for
+# real s >= 1/2, where d_k sums the first k+1 coefficients of T_24(1 + 2x).
+_D = list(itertools.accumulate(24 * 4**i * math.comb(24 + i, 2 * i) // (24 + i) for i in range(25)))
+_ETA_WEIGHTS = [(-1) ** k * (_D[24] - _D[k]) / _D[24] for k in range(24)]
+_ETA_TRUNCATION = 1 / _D[24]   # below 1e-18
 
 
 @dataclass(frozen=True)
 class MomentReport:
-    """One continuous moment of the kernel with its quadrature error estimate."""
+    """One continuous moment of the kernel with an analytic bound on its error."""
 
     order: int
     value: float
@@ -45,9 +50,7 @@ class MomentReport:
 
 class SymmetrizedDensity:
     """Evaluator for the symmetrized kernel of a given activation parameter set.
-
-    Holds only its parameters, so it is pure and safe to share between threads.
-    """
+    Holds only its parameters, so it is pure and safe to share between threads."""
 
     def __init__(self, params: ActivationParams):
         self.params = params
@@ -87,11 +90,9 @@ class SymmetrizedDensity:
         Beyond |x| = 1, |W(x)| is the mean of |phi'| over (x-1, x+1), with
         ``|phi'(t)| <= rate * alpha * |t|**(alpha-1) * exp(-rate * |t|**alpha)``,
         and each t lies within 1 of at most two lattice points.  So with
-        y = rate*(K-1)**alpha the tail is at most
-        ``2**(p+1) * rate**(-p/alpha) * Gamma(p/alpha + 1, y)``, which also
-        bounds the tail integral beyond K.  Power 0 is the closed form
-        ``2 e**-y``.  Higher powers use ``Gamma(s, y) <= y**s e**-y / (y-s+1)``
-        for ``y > s - 1``, which falls monotonically in y and is bisected in logs.
+        y = rate*(K-1)**alpha the tail is at most ``2**(p+1) * rate**(-p/alpha) *
+        Gamma(p/alpha + 1, y)``; power 0 is the closed form ``2 e**-y``.  Higher
+        powers bisect ``Gamma(s, y) <= y**s e**-y / (y-s+1)`` (y > s - 1) in logs.
         """
         if not tol > 0.0:
             raise InputError("tolerance must be positive")
@@ -124,12 +125,11 @@ class SymmetrizedDensity:
 
     def _partition_radius(self, eps: float) -> int:
         """Radius of the translate-sum window at tolerance ``eps``, floored at 2**-53."""
-        return self._radius(0, min(eps, _LATTICE_TOL))
+        return self._radius(0, min(eps, _UNIT_ROUNDOFF))
 
     def tail_cutoff(self, eps: float) -> float:
-        """Radius beyond which both the translate sum and the second lattice
-        moment drop less than ``min(eps, 2**-53)``."""
-        tol = min(eps, _LATTICE_TOL)
+        """Larger of the translate-sum and second-moment radii at ``min(eps, 2**-53)``."""
+        tol = min(eps, _UNIT_ROUNDOFF)
         return float(max(self._radius(0, tol), self._radius(2, tol)))
 
     # -- windowed lattice sums ------------------------------------------------
@@ -143,18 +143,15 @@ class SymmetrizedDensity:
         return u, math.ceil(u - radius), math.floor(u + radius)
 
     def _telescoped_segment(self, u: float, k0: int, k1: int) -> float:
-        """Exact value of sum_{k=k0..k1} W(u - k) via pairwise cancellation.
-
-        The consecutive terms share their phi evaluations, so the whole
-        segment collapses to four boundary values.
-        """
+        """Exact sum_{k=k0..k1} W(u - k): consecutive terms share their phi values,
+        so the segment collapses to four boundary values."""
         pts = np.array([u - k0 + 1.0, u - k0, u - k1, u - k1 - 1.0])
         ph = self._phi(pts)
         return 0.5 * float(ph[0] + ph[1] - ph[2] - ph[3])
 
     def _moment(self, u: float, eps: float, power: int) -> float:
         """Sum of (k - u)**power * W(u - k) over the window, one np.sum per chunk."""
-        u, k0, k1 = self._window(u, self._radius(power, min(eps, _LATTICE_TOL)))
+        u, k0, k1 = self._window(u, self._radius(power, min(eps, _UNIT_ROUNDOFF)))
         count = k1 - k0 + 1
         if count > _MAX_MOMENT_TERMS:
             raise NumericalError(
@@ -174,53 +171,56 @@ class SymmetrizedDensity:
     def first_lattice_moment(self, u: float, eps: float) -> float:
         """Sum of (k - u) * W(u - k) over the window.
 
-        Evenness of the sigmoid kernel forces this to vanish only at integer
-        and half-integer offsets; elsewhere the measured magnitude is
-        returned as is.
-        """
+        Evenness of the sigmoid kernel forces this to vanish only at integer and
+        half-integer offsets; elsewhere the measured magnitude is returned as is."""
         return self._moment(u, eps, 1)
 
     def second_lattice_moment(self, u: float, eps: float) -> float:
         """Sum of (k - u)**2 * W(u - k) over the window."""
         return self._moment(u, eps, 2)
 
-    # -- continuous integrals -------------------------------------------------
+    # -- continuous moments ---------------------------------------------------
 
-    @staticmethod
-    def _ladder_knots(radius: float) -> list[float]:
-        knots = [0.0, 1.0, -1.0]
-        for j in range(1, math.ceil(math.log2(radius))):
-            knots.extend((2.0**j, -(2.0**j)))
-        return knots
+    def _tail_integral(self, m: int) -> tuple[float, float]:
+        """I_m = int_0^inf y**m (1 - phi(y)) dy = Gamma(s) eta(s) / (alpha rate**s),
+        s = (m + 1) / alpha, and an error bound: the eta truncation plus 4u (u = 2**-53)
+        per rounding in the eta sum, lgamma, exp and the logs, where rounding s moves
+        ln I_m by up to ``u s (|psi(s)| + |eta'(s) / eta(s)| + |ln rate|)``."""
+        alpha, rate = self.params.alpha, self.params.rate
+        s = (m + 1) / alpha
+        terms = [w * (k + 1.0) ** -s for k, w in enumerate(_ETA_WEIGHTS)]
+        eta = math.fsum(terms)
+        log_gamma, log_rate = math.lgamma(s), math.log(rate)
+        value = eta * math.exp(log_gamma - s * log_rate - math.log(alpha))
+        roundings = (math.fsum(map(abs, terms)) / eta + abs(log_gamma) + abs(math.log(alpha))
+                     + s * (abs(math.log(s)) + 2.0 + abs(log_rate)) + 1.0)
+        return value, (_ETA_TRUNCATION + 4.0 * _UNIT_ROUNDOFF * roundings) * value
 
     def integral(self, tol: float) -> float:
-        """Adaptive-quadrature estimate of the kernel integral over the radius
-        whose tail mass is below ``tol / 10``, with error estimate below ``tol``."""
-        R = float(self._radius(0, tol / 10.0))
-        value, _ = adaptive_simpson(
-            self._w_raw, -R, R, 0.8 * tol, knots=self._ladder_knots(R)
-        )
-        return value
+        """Integral of the kernel: 1 in sigmoid mode, 0 in literal mode."""
+        return self.continuous_moment(0, tol).value
 
     def continuous_moment(self, order: int, tol: float) -> MomentReport:
-        """Quadrature estimate of the integral of x**order * W(x).
+        """Integral of x**p * W(x), p = ``order``, with an error bound below ``tol``.
 
-        The error estimate is the quadrature's plus the tail budget, which
-        bounds the integral beyond the integration radius.
-        """
+        Even p in sigmoid mode: ``1/(p+1) + 2 sum_{j odd} C(p, j) I_{p-j}``; odd p
+        in literal mode: ``-2 sum_{j odd} C(p, j) I_{p-j}``; the other parity is 0.
+        NumericalError on overflow or when the bound exceeds ``tol``."""
         if not isinstance(order, int) or order < 0:
             raise InputError(f"moment order must be a nonnegative integer, got {order!r}")
-
-        def integrand(x: np.ndarray) -> np.ndarray:
-            w = self._w_raw(x)
-            out = np.zeros_like(w)
-            nz = w != 0.0
-            out[nz] = x[nz] ** order * w[nz]
-            return out
-
-        tail_budget = tol / 4.0
-        R = float(self._radius(order, tail_budget))
-        value, qerr = adaptive_simpson(
-            integrand, -R, R, tol / 2.0, knots=self._ladder_knots(R)
-        )
-        return MomentReport(order, value, qerr + tail_budget)
+        if not tol > 0.0:
+            raise InputError("tolerance must be positive")
+        sigmoid = self.params.mode == "sigmoid"
+        if (order % 2 == 1) == sigmoid or order == 0:   # by symmetry, or the step's mass
+            return MomentReport(order, float(sigmoid and order == 0), 0.0)
+        try:
+            parts = [(2.0 * math.comb(order, j), *self._tail_integral(order - j))
+                     for j in range(1, order + 1, 2)]
+            tail = math.fsum(c * v for c, v, _ in parts)
+            error = math.fsum(c * e for c, _, e in parts) + 4.0 * _UNIT_ROUNDOFF * (tail + 1.0)
+        except (OverflowError, ValueError):
+            tail = error = math.inf
+        if not error <= tol:
+            raise NumericalError(f"order-{order} moment error bound {error:.3e} (inf on "
+                                 f"overflow) exceeds tolerance {tol:.3e} for {self.params}")
+        return MomentReport(order, 1.0 / (order + 1) + tail if sigmoid else -tail, error)

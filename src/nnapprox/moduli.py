@@ -25,6 +25,8 @@ __all__ = [
     "holder_constant",
 ]
 
+_MAX_GRID_POINTS = 1 << 26     # 512 MiB of float64 samples
+
 
 @dataclass(frozen=True)
 class ModulusEstimate:
@@ -37,7 +39,12 @@ class ModulusEstimate:
 
 def _grid(f: FunctionSpec, grid_step: float) -> tuple[np.ndarray, float]:
     a = f.half_width
-    m = max(1, math.ceil(2.0 * a / grid_step))
+    steps = 2.0 * a / grid_step
+    if not steps <= _MAX_GRID_POINTS - 1:
+        raise InputError(
+            f"grid step {grid_step!r} on [-{a}, {a}] needs more than 2**26 grid points"
+        )
+    m = max(1, math.ceil(steps))
     xs = np.linspace(-a, a, m + 1)
     return xs, 2.0 * a / m
 

@@ -118,7 +118,6 @@ def adaptive_simpson(
         frm = np.concatenate([frm[keep], cfrm])
         sl = np.concatenate([sl[keep], csl])
         sr = np.concatenate([sr[keep], csr])
-        s1 = np.concatenate([s1[keep], cs1])
         s2 = np.concatenate([s2[keep], cs2])
         err = np.concatenate([err[keep], cerr])
 

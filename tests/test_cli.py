@@ -4,7 +4,9 @@ import json
 import os
 
 import pytest
+from test_density import scipy_moment
 
+from nnapprox import ActivationParams
 from nnapprox.cli import RunConfig, main, parse_config, run_subcommand
 from nnapprox.errors import ParameterError
 
@@ -140,6 +142,15 @@ class TestValidationExits:
         assert main(["moduli", f"--t-list={t_list}", "--out", str(out)]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["moduli", "--t-list", "1e-300"],
+                                      ["converge", "--n-list", "8,1099511627776"]])
+    def test_modulus_grid_above_budget_rejected(self, argv, tmp_path, capsys):
+        # Both asked numpy for a grid of about 1e300 or 9e12 points.
+        out = tmp_path / "m.csv"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "2**26 grid points" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_help_exits_zero(self, capsys):
         assert main([]) == 0
         assert "density" in capsys.readouterr().out
@@ -173,6 +184,22 @@ class TestSubcommands:
         assert "warning" in captured
         moment0 = float(out.read_text().strip().split("\n\n")[1].splitlines()[1].split(",")[1])
         assert abs(moment0) < 1e-6
+
+    @pytest.mark.parametrize("flags", [["--alpha", "0.3"],
+                                       ["--mode", "literal", "--q", "1.5", "--theta", "0.5",
+                                        "--alpha", "0.3"]])
+    def test_density_moments_match_closed_form(self, flags, tmp_path, capsys):
+        out = tmp_path / "d.csv"
+        assert main(["density", *flags, "--grid-points", "11", "--out", str(out)]) == 0
+        cfg = parse_config(flags)
+        p = ActivationParams(cfg.q, cfg.theta, cfg.alpha, cfg.scale, cfg.mode)
+        rows = [line.split(",") for line in out.read_text().strip().split("\n\n")[1].splitlines()]
+        assert rows[0] == ["order", "value", "error_estimate"]
+        for order, (k, value, error) in enumerate(rows[1:]):
+            want = scipy_moment(p, order)
+            assert int(k) == order
+            assert 0.0 <= float(error) <= 1e-8
+            assert abs(float(value) - want) <= float(error) + 1e-14 * abs(want)
 
     def test_approx_rows(self, tmp_path, capsys):
         out = tmp_path / "a.csv"

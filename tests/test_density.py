@@ -1,8 +1,9 @@
 """Kernel values, normalization, lattice sums, moments, and analytic tail radii.
 
 Wide-window compensated summation over raw kernel values serves as the
-independent oracle for every windowed-sum operation, and scipy quadrature
-plus one closed form back the continuous moments.
+independent oracle for every windowed-sum operation.  The continuous moments
+are checked against scipy quadrature and against Gamma and zeta from
+``scipy.special``.
 """
 
 import math
@@ -12,8 +13,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
-from test_operator_oracle import KERNELS
+from scipy import integrate, special
+from test_operator_oracle import KERNELS, _upper_tail
 from test_operator_oracle import _kernel as oracle_kernel
 
 from nnapprox import (
@@ -215,6 +216,89 @@ class TestContinuousMoments:
             default_density.continuous_moment(1.5, 1e-8)
 
 
+def scipy_tail_integral(p, m):
+    """int_0^inf y**m (1 - phi(y)) dy = Gamma(s) eta(s) / (alpha rate**s), s = (m+1)/alpha,
+    with eta(s) = (1 - 2**(1-s)) zeta(s) and eta(1) = ln 2."""
+    s = (m + 1) / p.alpha
+    eta = math.log(2.0) if s == 1.0 else (1.0 - 2.0 ** (1.0 - s)) * special.zeta(s)
+    return special.gamma(s) * eta / (p.alpha * p.rate**s)
+
+
+def scipy_moment(p, order):
+    """Integral of x**order W(x) from the step-plus-tail split of phi, with scipy's
+    Gamma and zeta."""
+    sigmoid = p.mode == "sigmoid"
+    if (order % 2 == 1) == sigmoid:
+        return 0.0
+    tail = 2.0 * math.fsum(
+        math.comb(order, j) * scipy_tail_integral(p, order - j) for j in range(1, order + 1, 2)
+    )
+    return 1.0 / (order + 1) + tail if sigmoid else -tail
+
+
+def half_line_kernel(p, x):
+    """W(x) for x >= 0 from the tail 1 - phi(y) = 1 / (1 + exp(rate y**alpha))."""
+    if p.mode == "sigmoid":
+        return oracle_kernel(p, x)
+    # Literal phi is the even tail itself: phi(y) = 1 - phi_sigmoid(|y|).
+    return 0.5 * (_upper_tail(p, x + 1.0) - _upper_tail(p, np.abs(x - 1.0)))
+
+
+MODES = ["sigmoid", "literal"]
+
+
+class TestClosedFormMoments:
+    @pytest.mark.parametrize("order", range(5))
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("kernel", list(KERNELS))
+    def test_matches_scipy_gamma_and_zeta(self, kernel, mode, order):
+        p = ActivationParams(*KERNELS[kernel], 1.0, mode)
+        want = scipy_moment(p, order)
+        # An absolute 1e-12 cannot be met by values near 1e15 (heavy tail, order 4).
+        tol = 1e-12 * max(1.0, abs(want))
+        rep = SymmetrizedDensity(p).continuous_moment(order, tol)
+        assert rep.order == order
+        assert 0.0 <= rep.quadrature_error_estimate <= tol
+        assert abs(rep.value - want) <= rep.quadrature_error_estimate + 1e-14 * abs(want)
+
+    @pytest.mark.parametrize("order", range(5))
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("kernel", ["alpha=1", "alpha=0.5"])
+    def test_matches_scipy_quad(self, kernel, mode, order):
+        p = ActivationParams(*KERNELS[kernel], 1.0, mode)
+        rep = SymmetrizedDensity(p).continuous_moment(order, 1e-6)
+        if (order % 2 == 1) == (mode == "sigmoid"):
+            assert (rep.value, rep.quadrature_error_estimate) == (0.0, 0.0)
+            return
+
+        def integrand(x):
+            return x**order * float(half_line_kernel(p, np.array([x]))[0])
+
+        # x**order W(x) is even; split at the cusp x = 1.
+        core, core_err = integrate.quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=1e-13)
+        tail, tail_err = integrate.quad(integrand, 1.0, np.inf, epsabs=0.0, epsrel=1e-13,
+                                        limit=500)
+        want = 2.0 * (core + tail)
+        slack = rep.quadrature_error_estimate + 2.0 * (core_err + tail_err) + 1e-14 * abs(want)
+        assert abs(rep.value - want) <= slack
+
+    def test_unmeetable_tolerance_raises(self):
+        # The heavy-tail second moment is about 8.8e6; its rounding alone exceeds 1e-8.
+        d = SymmetrizedDensity(ActivationParams(*KERNELS["heavy-tail"]))
+        assert d.continuous_moment(2, 1e-6).value == pytest.approx(8.8e6, rel=1e-2)
+        with pytest.raises(NumericalError):
+            d.continuous_moment(2, 1e-8)
+
+    def test_integral_is_exact(self, default_density, literal_density):
+        assert default_density.integral(1e-300) == 1.0
+        assert literal_density.integral(1e-300) == 0.0
+
+    def test_bad_tolerance_rejected(self, default_density):
+        for tol in (0.0, -1.0, math.nan):
+            with pytest.raises(InputError):
+                default_density.continuous_moment(2, tol)
+
+
 class TestTailCutoff:
     def test_steeper_decay_gives_smaller_radius(self):
         steep = SymmetrizedDensity(ActivationParams(2.0, 5.0, 1.0, 1.0, "sigmoid"))
@@ -248,13 +332,12 @@ class TestTailCutoff:
     @pytest.mark.parametrize("params", [(1.0001, 0.01, 0.01), (2.0, 1.0, 1e-300)])
     def test_overflowing_radius_raises(self, params):
         d = SymmetrizedDensity(ActivationParams(*params))
-        calls = self._lattice_calls(d) + [
-            lambda: d.integral(1e-8),
-            lambda: d.continuous_moment(2, 1e-8),
-        ]
+        calls = self._lattice_calls(d) + [lambda: d.continuous_moment(2, 1e-8)]
         for call in calls:
             with pytest.raises(NumericalError):
                 call()
+        # The order-0 moment is the unit step's alone: no tail integral enters.
+        assert d.integral(1e-8) == 1.0
 
     def test_radius_above_two_to_the_52_raises(self):
         # The translate-sum radius 1 + (54 ln 2)**10 is finite, about 5.5e15.

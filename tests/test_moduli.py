@@ -141,6 +141,17 @@ class TestRefinement:
         assert changes[-1] < 1e-4
 
 
+# A step of 2 / (2**26 - 1) on [-1, 1] would fill the 2**26-point budget exactly;
+# a hair less is refused, and at 1e-320, 2a / step overflows to inf.
+@pytest.mark.parametrize("step", [2.0 / (2**26 - 1) * (1.0 - 1e-15), 2.5e-301, 1e-320])
+@pytest.mark.parametrize("estimate", [
+    lambda f, h: modulus(f, h, h), lambda f, h: second_modulus(f, h, h), sup_norm,
+], ids=["modulus", "second_modulus", "sup_norm"])
+def test_grid_above_point_budget_rejected(estimate, step):
+    with pytest.raises(InputError, match="2\\*\\*26 grid points"):
+        estimate(make_function("sin"), step)
+
+
 class TestNorms:
     def test_l2_of_unit_constant(self):
         f = make_function("const", (1.0,))

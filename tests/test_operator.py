@@ -4,14 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nnapprox import (
+    ActivationParams,
     DomainError,
     FunctionSpec,
     InputError,
     NumericalError,
     OperatorConfig,
     ParameterError,
+    SymmetrizedDensity,
     approximate,
     approximate_grid,
     make_function,
@@ -247,3 +251,61 @@ class TestStabilityGap:
         g = make_function("sin", half_width=2.0)
         with pytest.raises(InputError):
             stability_gap(OperatorConfig(16), default_density, f, g, [0.0])
+
+
+SIGMOID_DENSITIES = {
+    alpha: SymmetrizedDensity(ActivationParams(2.0, 1.0, alpha)) for alpha in (1.0, 0.5)
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    alpha=st.sampled_from(sorted(SIGMOID_DENSITIES)),
+    extension=st.sampled_from(["clamp", "zero", "none"]),
+    target=st.sampled_from(["sin", "runge", "osc", "abs_pow", "pwlin", "const"]),
+    n=st.integers(1, 600),
+    a=st.sampled_from([0.37, 1.0, 2.5]),
+    xs=st.lists(st.floats(-1.0, 1.0), max_size=3),
+)
+def test_renormalized_value_within_window_sample_hull(alpha, extension, target, n, a, xs):
+    # Sigmoid weights are nonnegative and renormalized, so each output is a
+    # convex combination of the in-domain samples within the partition radius
+    # and, where that window passes the domain, the extension's end values.
+    d = SIGMOID_DENSITIES[alpha]
+    cfg = OperatorConfig(n)
+    f = make_function(target, half_width=a, extension=extension)
+    # The evenly spaced points reach both edges, where the tails weigh most.
+    pts = np.concatenate([np.linspace(-a, a, 21), np.array(xs) * a])
+    got = approximate_grid(cfg, d, f, pts)
+    R = d._partition_radius(cfg.truncation_eps)
+    k_lo, k_hi = math.ceil(-n * a), math.floor(n * a)
+    ends = {"clamp": list(f(np.array([-a, a]))), "zero": [0.0, 0.0], "none": []}[extension]
+    for x, v in zip(pts, got):
+        u = n * float(x)
+        k0, k1 = math.ceil(u - R), math.floor(u + R)
+        samples = list(f(np.arange(max(k0, k_lo), min(k1, k_hi) + 1) / n))
+        samples += ends[:1] if k0 < k_lo else []
+        samples += ends[1:] if k1 > k_hi else []
+        slack = 1e-14 * max(1.0, max(map(abs, samples)))
+        assert min(samples) - slack <= v <= max(samples) + slack
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    alpha=st.sampled_from(sorted(SIGMOID_DENSITIES)),
+    extension=st.sampled_from(["clamp", "zero", "none"]),
+    eval_mode=st.sampled_from(["raw", "renormalized"]),
+    target=st.sampled_from([("runge", None), ("const", (2.5,))]),
+    n=st.integers(1, 600),
+    a=st.sampled_from([0.37, 1.0, 2.5]),
+    xs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+)
+def test_even_target_gives_even_output(alpha, extension, eval_mode, target, n, a, xs):
+    # The grid is mirrored exactly, so only summation order and windows that
+    # differ by one negligible lattice point separate S_n f(-x) from S_n f(x).
+    f = make_function(*target, half_width=a, extension=extension)
+    half = np.array(xs) * a
+    cfg = OperatorConfig(n, 1e-10, eval_mode)
+    out = approximate_grid(cfg, SIGMOID_DENSITIES[alpha], f, np.concatenate([-half[::-1], half]))
+    scale = float(np.max(np.abs(f(np.linspace(-a, a, 101)))))
+    np.testing.assert_allclose(out[: half.size][::-1], out[half.size :], rtol=0, atol=1e-14 * scale)
