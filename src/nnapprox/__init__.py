@@ -28,7 +28,9 @@ from .operator import (
     OperatorConfig,
     approximate,
     approximate_grid,
+    approximate_many,
     stability_gap,
+    stability_gaps,
     sup_error,
 )
 from .quadrature import adaptive_simpson
@@ -63,8 +65,10 @@ __all__ = [
     "OperatorConfig",
     "approximate",
     "approximate_grid",
+    "approximate_many",
     "sup_error",
     "stability_gap",
+    "stability_gaps",
     "ModulusEstimate",
     "modulus",
     "second_modulus",

@@ -28,6 +28,7 @@ _MODES = ("literal", "sigmoid")
 # Open-interval clamp: one ulp inside (0, 1).
 _LO = np.nextafter(0.0, 1.0)
 _HI = np.nextafter(1.0, 0.0)
+_FAR = -math.log(np.finfo(float).tiny)   # e**-_FAR is the smallest normal double
 
 
 @dataclass(frozen=True)
@@ -60,6 +61,11 @@ class ActivationParams:
             raise ParameterError(f"scale must be positive, got {self.scale}")
         if self.mode not in _MODES:
             raise ParameterError(f"mode must be one of {_MODES}, got {self.mode!r}")
+        if not 0.0 < self.rate < math.inf:
+            raise ParameterError(
+                f"rate = scale * theta * |ln q| must lie in (0, inf), got {self.rate} "
+                f"from q={self.q}, theta={self.theta}, scale={self.scale}"
+            )
 
     @property
     def rate(self) -> float:
@@ -86,7 +92,7 @@ def _expit_diff(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
     expm1 keeps the relative error at a few ulp.
     """
     out = np.empty_like(hi)
-    with np.errstate(over="ignore", under="ignore"):
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         both_pos = lo >= 0.0
         h, l = hi[both_pos], lo[both_pos]
         el = np.exp(-l)
@@ -99,6 +105,16 @@ def _expit_diff(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
 
         mixed = ~(both_pos | both_neg)
         out[mixed] = _stable_expit(hi[mixed]) - _stable_expit(lo[mixed])
+
+        # Past |lo| = _FAR, e**-|lo| is subnormal and has lost precision, and
+        # the expm1 form can be 0 * inf (NaN) or subnormal * inf.  There the
+        # plain difference of the exponentials, all within [0, 1], is exact up
+        # to subnormal rounding.
+        if lo.size and (lo.min() < -_FAR or lo.max() > _FAR):
+            far = (lo > _FAR) | ((lo < -_FAR) & (hi <= 0.0))
+            sign = np.sign(lo[far])
+            e_lo, e_hi = np.exp(-sign * lo[far]), np.exp(-sign * hi[far])
+            out[far] = sign * (e_lo - e_hi) / ((1.0 + e_lo) * (1.0 + e_hi))
     return out
 
 

@@ -107,19 +107,22 @@ class SymmetrizedDensity:
                 lo = s - 1.0
                 # ln y <= ln(2s) + (y - 2s)/(2s) puts the bound below tol from here on.
                 y = max(s, 2.0 * (s * math.log(2.0 * s) - s - target))
-                for _ in range(_BISECTIONS):
-                    mid = 0.5 * (lo + y)
-                    if s * math.log(mid) - mid - math.log(mid - s + 1.0) > target:
-                        lo = mid
-                    else:
-                        y = mid
+                if target >= math.lgamma(s):   # Gamma(s, y) <= Gamma(s) meets tol at any y
+                    y = 0.0
+                else:
+                    for _ in range(_BISECTIONS):
+                        mid = 0.5 * (lo + y)
+                        if s * math.log(mid) - mid - math.log(mid - s + 1.0) > target:
+                            lo = mid
+                        else:
+                            y = mid
             r = max(1.0 + (y / rate) ** (1.0 / alpha), 2.0)
-        except OverflowError:
+        except (OverflowError, ZeroDivisionError, ValueError):
             r = math.inf
         if not r <= _MAX_RADIUS:
             raise NumericalError(
                 f"order-{power} tail radius at tolerance {tol:.3e} exceeds 2**52 "
-                f"for {self.params}"
+                f"(inf when its bound is out of floating-point range) for {self.params}"
             )
         return math.ceil(r)
 

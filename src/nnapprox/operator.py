@@ -10,11 +10,12 @@ farther from nx than the partition radius R carry less than the truncation
 tolerance in total and are left out, so a point costs at most 2R+1 terms.
 
 A grid is evaluated in chunks.  Each chunk forms a matrix of kernel weights,
-one row per grid point and one column per lattice point of its window, and
-reduces it row by row with numpy's pairwise sum, so every output depends only
-on its own x and never on the grid's order or chunking.  Renormalized mode
-divides by the total weight (window plus tails), which keeps constants exactly
-reproduced.
+one row per grid point and one column per lattice point of its window; the
+weights do not depend on the target, so one matrix serves every target of a
+call.  Each target's samples are weighted and reduced row by row with numpy's
+pairwise sum, so every output depends only on its own x and never on the grid's
+order, its chunking or the other targets.  Renormalized mode divides by the
+total weight (window plus tails), which keeps constants exactly reproduced.
 """
 
 from __future__ import annotations
@@ -32,8 +33,10 @@ __all__ = [
     "OperatorConfig",
     "approximate",
     "approximate_grid",
+    "approximate_many",
     "sup_error",
     "stability_gap",
+    "stability_gaps",
 ]
 
 _EVAL_MODES = ("raw", "renormalized")
@@ -62,36 +65,29 @@ class OperatorConfig:
             )
 
 
-def _sample_values(f: FunctionSpec, xs: np.ndarray):
-    """Target values at lattice abscissas under the target's extension policy.
-
-    Returns (values, mask) where mask flags the samples the operator weights.
-    """
-    a = f.half_width
-    inside = (xs >= -a) & (xs <= a)
-    if f.extension == "clamp":
-        return f(np.clip(xs, -a, a)), np.ones_like(inside)
-    if f.extension == "zero":
-        vals = np.zeros_like(xs)
-        if np.any(inside):
-            vals[inside] = f(xs[inside])
-        return vals, np.ones_like(inside)
-    return np.where(inside, f(np.where(inside, xs, 0.0)), 0.0), inside
+def _sample_values(f: FunctionSpec, clipped: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    """Samples of ``f`` at lattice abscissas clipped to the domain: 0 outside it under
+    ``zero``, else the clamped value (which ``none`` never weights; callers mask it)."""
+    vals = f(clipped)
+    return np.where(inside, vals, 0.0) if f.extension == "zero" else vals
 
 
-def _domain_lattice(cfg: OperatorConfig, f: FunctionSpec) -> tuple[int, int]:
-    """First and last integer k with k/n in [-half_width, half_width]."""
-    na = cfg.n * f.half_width
-    return math.ceil(-na), math.floor(na)
+def _domain_lattice(n: int, a: float) -> tuple[int, int]:
+    """First and last integer k with k/n in [-a, a]."""
+    return math.ceil(-n * a), math.floor(n * a)
 
 
-def _checked_grid(cfg: OperatorConfig, f: FunctionSpec, grid) -> np.ndarray:
+def _checked_grid(cfg: OperatorConfig, fs, grid) -> tuple[np.ndarray, float]:
+    """The grid as floats and the one half-width every target shares."""
+    widths = {f.half_width for f in fs}
+    if len(widths) != 1:
+        raise InputError(f"need targets on one shared domain, got half-widths {sorted(widths)}")
+    (a,) = widths
     pts = np.asarray(grid, dtype=float)
     if pts.size == 0:
         raise InputError("evaluation grid is empty")
     if not np.all(np.isfinite(pts)):
         raise InputError("evaluation points must be finite")
-    a = f.half_width
     outside = np.abs(pts) > a
     if np.any(outside):
         raise InputError(f"x={pts[outside][0]} outside the target domain [-{a}, {a}]")
@@ -100,33 +96,30 @@ def _checked_grid(cfg: OperatorConfig, f: FunctionSpec, grid) -> np.ndarray:
             f"n * half_width = {cfg.n * a:.3e} exceeds 2**52, where lattice "
             f"indices are no longer exact in floating point"
         )
-    return pts
+    return pts, a
 
 
 def _tail_masses(d: SymmetrizedDensity, u: np.ndarray, k_lo: int, k_hi: int):
-    """Total kernel weight of the lattice points left of k_lo and right of k_hi.
-
-    phi tends to 1 at +infinity in sigmoid mode and to 0 in literal mode,
-    which decides the sign of the telescoped left tail.
-    """
+    """Total kernel weight of the lattice points left of k_lo and right of k_hi; the
+    telescoped left tail's sign follows phi's limit at +inf (1 sigmoid, 0 literal)."""
     sign = 1.0 if d.params.mode == "sigmoid" else -1.0
     left = sign * 0.5 * (d._phi(k_lo - u - 1.0) + d._phi(k_lo - u))
     right = 0.5 * (d._phi(u - k_hi) + d._phi(u - k_hi - 1.0))
     return left, right
 
 
-def approximate_grid(cfg: OperatorConfig, d: SymmetrizedDensity, f: FunctionSpec, grid) -> np.ndarray:
-    """Pointwise operator values along ``grid``; order follows the input."""
-    pts = _checked_grid(cfg, f, grid)
-    n, a = cfg.n, f.half_width
-    k_lo, k_hi = _domain_lattice(cfg, f)
+def approximate_many(cfg: OperatorConfig, d: SymmetrizedDensity, fs, grid) -> np.ndarray:
+    """Operator values of each target in the sequence ``fs`` along ``grid``, shape
+    ``(len(fs),) + grid.shape``.  The targets share a half-width, not an extension."""
+    pts, a = _checked_grid(cfg, fs, grid)
+    k_lo, k_hi = _domain_lattice(cfg.n, a)
     R = d._partition_radius(cfg.truncation_eps)
     width = min(2 * R + 1, k_hi - k_lo + 1)
     cols = min(width, _CHUNK)
     rows = max(1, _CHUNK // cols)
 
-    u_all = n * pts.ravel()
-    raw = np.zeros_like(u_all)
+    u_all = cfg.n * pts.ravel()
+    raw = np.zeros((len(fs), u_all.size))
     mass = np.zeros_like(u_all)
     for i in range(0, u_all.size, rows):
         u = u_all[i : i + rows, None]
@@ -134,26 +127,38 @@ def approximate_grid(cfg: OperatorConfig, d: SymmetrizedDensity, f: FunctionSpec
         for j in range(0, width, cols):
             k = start + np.arange(j, min(j + cols, width))
             w = d._w_raw(u - k)
-            vals = f(np.clip(k / n, -a, a).ravel()).reshape(k.shape)
-            raw[i : i + rows] += (w * vals).sum(axis=1)
+            # Sample each target once per distinct lattice point and gather, unless
+            # the windows lie so far apart that their span outgrows the matrix.
+            k_min, k_max = k[:, 0].min(), k[:, -1].max()
+            if k_max - k_min < k.size:
+                ks, at = np.arange(k_min, k_max + 1), (k - k_min).astype(np.intp)
+            else:
+                ks, at = k.ravel(), np.arange(k.size).reshape(k.shape)
+            xs = np.clip(ks / cfg.n, -a, a)
+            for out, f in zip(raw, fs):
+                out[i : i + rows] += (w * f(xs)[at]).sum(axis=1)
             mass[i : i + rows] += w.sum(axis=1)
 
-    if f.extension != "none":
-        left, right = _tail_masses(d, u_all, k_lo, k_hi)
-        mass += left + right
+    left, right = _tail_masses(d, u_all, k_lo, k_hi)
+    for out, f in zip(raw, fs):
         if f.extension == "clamp":
             f_lo, f_hi = f(np.array([-a, a]))
-            raw += left * f_lo + right * f_hi
-
+            out += left * f_lo + right * f_hi
     if cfg.eval_mode == "renormalized":
-        smallest = float(np.min(np.abs(mass)))
+        total = np.where([[f.extension == "none"] for f in fs], mass, mass + (left + right))
+        smallest = float(np.min(np.abs(total)))
         if smallest < 1e-6:
             raise NumericalError(
                 f"window weight sum {smallest:.3e} is too close to zero to renormalize; "
                 f"the literal kernel mode does not form a partition of unity"
             )
-        raw /= mass
-    return raw.reshape(pts.shape)
+        raw /= total
+    return raw.reshape((len(fs),) + pts.shape)
+
+
+def approximate_grid(cfg: OperatorConfig, d: SymmetrizedDensity, f: FunctionSpec, grid) -> np.ndarray:
+    """Pointwise operator values along ``grid``; order follows the input."""
+    return approximate_many(cfg, d, [f], grid)[0]
 
 
 def approximate(cfg: OperatorConfig, d: SymmetrizedDensity, f: FunctionSpec, x: float) -> float:
@@ -164,41 +169,40 @@ def approximate(cfg: OperatorConfig, d: SymmetrizedDensity, f: FunctionSpec, x: 
 def sup_error(cfg: OperatorConfig, d: SymmetrizedDensity, f: FunctionSpec, grid) -> float:
     """Max of |operator - target| over the grid (a lower estimate of the sup)."""
     pts = np.asarray(grid, dtype=float)
-    approx = approximate_grid(cfg, d, f, pts)
-    return float(np.max(np.abs(approx - f(pts))))
+    return float(np.max(np.abs(approximate_grid(cfg, d, f, pts) - f(pts))))
 
 
-def stability_gap(
-    cfg: OperatorConfig,
-    d: SymmetrizedDensity,
-    f: FunctionSpec,
-    g: FunctionSpec,
-    grid,
-) -> tuple[float, float]:
-    """Largest operator output gap between two targets, and the sample-lattice bound.
+def stability_gaps(cfg: OperatorConfig, d: SymmetrizedDensity, pairs,
+                   grid) -> list[tuple[float, float]]:
+    """Largest operator output gap and the sample-lattice bound of each pair (f, g).
 
     The bound is the largest sample gap over the lattice points within the
     partition radius of the grid, extension values included where that window
     passes the domain.  In renormalized sigmoid mode the gap never exceeds
     the bound by more than the truncation tolerance (the weights are
-    nonnegative and sum to one after division).
+    nonnegative and sum to one after division).  All pairs share one operator call.
     """
-    if f.half_width != g.half_width:
-        raise InputError(
-            f"targets must share a domain, got half-widths {f.half_width} and {g.half_width}"
-        )
-    pts = np.asarray(grid, dtype=float)
-    gaps = np.abs(approximate_grid(cfg, d, f, pts) - approximate_grid(cfg, d, g, pts))
+    fs = [h for pair in pairs for h in pair]
+    values = approximate_many(cfg, d, fs, grid).reshape(len(fs), -1)
+    gaps = np.max(np.abs(values[0::2] - values[1::2]), axis=1)
 
     # Outside the domain every sample equals the one just past its edge, so
     # the window is cut to one lattice point beyond each end.
     R = d._partition_radius(cfg.truncation_eps)
-    k_lo, k_hi = _domain_lattice(cfg, f)
-    k0 = max(math.ceil(cfg.n * float(np.min(pts)) - R), k_lo - 1)
-    k1 = min(math.floor(cfg.n * float(np.max(pts)) + R), k_hi + 1)
+    a = fs[0].half_width
+    k_lo, k_hi = _domain_lattice(cfg.n, a)
+    k0 = max(math.ceil(cfg.n * float(np.min(grid)) - R), k_lo - 1)
+    k1 = min(math.floor(cfg.n * float(np.max(grid)) + R), k_hi + 1)
     xs = np.arange(k0, k1 + 1, dtype=float) / cfg.n
-    fv, fmask = _sample_values(f, xs)
-    gv, gmask = _sample_values(g, xs)
-    mask = fmask & gmask
-    bound = float(np.max(np.abs(fv[mask] - gv[mask])))
-    return float(np.max(gaps)), bound
+    clipped, inside = np.clip(xs, -a, a), np.abs(xs) <= a
+    bounds = []
+    for f, g in zip(fs[0::2], fs[1::2]):
+        gap = np.abs(_sample_values(f, clipped, inside) - _sample_values(g, clipped, inside))
+        bounds.append(float(np.max(gap[inside] if "none" in (f.extension, g.extension) else gap)))
+    return list(zip(gaps.tolist(), bounds))
+
+
+def stability_gap(cfg: OperatorConfig, d: SymmetrizedDensity, f: FunctionSpec, g: FunctionSpec,
+                  grid) -> tuple[float, float]:
+    """``stability_gaps`` of the one pair (f, g)."""
+    return stability_gaps(cfg, d, [(f, g)], grid)[0]

@@ -18,7 +18,7 @@ import numpy as np
 from .density import SymmetrizedDensity
 from .errors import InputError
 from .moduli import modulus, second_modulus
-from .operator import OperatorConfig, stability_gap, sup_error
+from .operator import OperatorConfig, stability_gaps, sup_error
 from .targets import FunctionSpec
 
 __all__ = [
@@ -148,13 +148,8 @@ def stability_suite(
     slack: float = 1e-10,
 ) -> list[tuple[float, float, bool]]:
     """Gap and lattice bound per pair, with pass = (gap <= bound + slack)."""
-    if not pairs:
-        raise InputError("stability suite needs at least one pair")
-    results = []
-    for f, g in pairs:
-        gap, bound = stability_gap(cfg, d, f, g, grid)
-        results.append((gap, bound, gap <= bound + slack))
-    return results
+    return [(gap, bound, gap <= bound + slack)
+            for gap, bound in stability_gaps(cfg, d, pairs, grid)]
 
 
 # -- serialization ------------------------------------------------------------

@@ -105,6 +105,8 @@ class TestValidation:
             dict(scale=0.0),
             dict(mode="bogus"),
             dict(q=float("nan")),
+            dict(q=1.0000000001, theta=1e-300, scale=1e-300),   # rate underflows to 0
+            dict(theta=1e308, scale=1e308),                       # rate overflows to inf
         ],
     )
     def test_bad_parameters_rejected(self, kwargs):
@@ -123,6 +125,38 @@ class TestValidation:
         assert isinstance(activation_value(default_params, 0.3), float)
         out = activation_value(default_params, np.array([0.1, 0.2]))
         assert out.shape == (2,)
+
+
+class TestSaturatedDifference:
+    """expit(hi) - expit(lo) where exp(lo) or exp(-lo) is below the smallest
+    normal double, or the arguments are infinite: finite, and exact to a few ulp."""
+
+    def test_far_apart_negative_arguments(self):
+        hi = np.array([-1.0, -100.0, -700.0, 0.0, -5.0])
+        lo = np.array([-800.0, -746.0, -1e308, -1e303, -np.inf])
+        np.testing.assert_allclose(_expit_diff(hi, lo), _stable_expit(hi), rtol=1e-15, atol=0.0)
+
+    def test_far_apart_positive_arguments(self):
+        hi = np.array([800.0, 1e308, np.inf, 710.0])
+        lo = np.array([750.0, 746.0, 709.0, 709.5])
+        want = [math.exp(-750.0), math.exp(-746.0), math.exp(-709.0),
+                math.exp(-709.5) - math.exp(-710.0)]
+        np.testing.assert_allclose(_expit_diff(hi, lo), want, rtol=1e-12, atol=1e-323)
+
+    @pytest.mark.parametrize("t", [np.inf, -np.inf, 1e308, -1e308])
+    def test_equal_saturated_arguments_give_zero(self, t):
+        assert _expit_diff(np.array([t]), np.array([t])).tolist() == [0.0]
+
+    @pytest.mark.parametrize("mode", ["sigmoid", "literal"])
+    def test_kernel_at_huge_rate_is_the_box(self, mode):
+        # rate = 1e300 * ln(1e300) ~ 6.9e302: phi is a unit step (or a spike
+        # at 0), so W is 1/2 on (-1, 1) and 1/4 at +-1 in sigmoid mode.
+        d = SymmetrizedDensity(ActivationParams(1e300, 1e300, 1.0, 1.0, mode))
+        x = np.array([-1e3, -2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 1e3])
+        w = d.value(x)
+        assert np.all(np.isfinite(w))
+        if mode == "sigmoid":
+            assert w.tolist() == [0, 0, 0, 0.25, 0.5, 0.5, 0.5, 0.25, 0, 0, 0]
 
 
 class TestOneExponentFormula:

@@ -1,9 +1,12 @@
 """CLI: parsing precedence, validation exits, subcommand outputs, determinism."""
 
+import hashlib
 import json
 import os
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from test_density import scipy_moment
 
 from nnapprox import ActivationParams
@@ -151,6 +154,19 @@ class TestValidationExits:
         assert "2**26 grid points" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("subcommand", ["approx", "converge"])
+    def test_rate_outside_double_range_rejected(self, subcommand, tmp_path, capsys):
+        args = ["--q", "1.0000000001", "--theta", "1e-300", "--scale", "1e-300"]
+        assert main([subcommand, *args, "--out", str(tmp_path / "o.csv")]) == 2
+        assert "rate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subcommand", ["approx", "converge", "stability", "density"])
+    def test_huge_rate_runs_without_nan(self, subcommand, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        assert main([subcommand, "--q", "1e300", "--theta", "1e300", "--grid-points", "41",
+                     "--out", str(out)]) == 0
+        assert "nan" not in out.read_text() + capsys.readouterr().out
+
     def test_help_exits_zero(self, capsys):
         assert main([]) == 0
         assert "density" in capsys.readouterr().out
@@ -262,6 +278,68 @@ class TestDeterminism:
                             "--out", str(tmp_path / "m.csv")])
         assert run_subcommand("moduli", cfg) == 0
         assert (tmp_path / "m.csv").exists()
+
+
+# sha256 of whole output files at default flags unless given, so that no
+# change to the numbers or their formatting goes unnoticed.
+GOLDEN = {
+    "stability-csv": (["stability"],
+                      "1f90ca9be89ccb7001205838cb7be0f8cf9e12f3361e6aa88ae699fc10138aaa"),
+    "stability-json": (["stability", "--format", "json"],
+                       "adb543ce9c3b9d3aa6dd3fce5a0d9648dfdc8f13874c4a3f1ca70d82a2a83ad5"),
+    "stability-zero": (["stability", "--extension", "zero", "--n", "512", "--grid-points", "1001"],
+                       "1d6308bcb5d26e13d61d1d1c067b2ec3cee567e5893de72018f875cf694ad238"),
+    "stability-none-raw": (["stability", "--extension", "none", "--eval-mode", "raw"],
+                           "267ce13bc9b2dc2166d995a66281065292c64a129279d230f0e325394b8e4bba"),
+    "stability-literal-raw": (["stability", "--alpha", "0.5", "--mode", "literal",
+                               "--eval-mode", "raw"],
+                              "fcb0da0a0cd6d1abfd26977cd71bb746bd54b5e25a9adbbbea85988260b2041b"),
+    "approx": (["approx"], "767c28bfd28fa2102ef65e3809f54b817bbd51a124cf2894cae67c9bad98b57b"),
+    "converge": (["converge"], "70fd6e605a3ca7387cb01b7ed6196e64f66b5c8fde9f3cecd0d17b6d33af528f"),
+}
+
+
+@pytest.mark.parametrize("case", list(GOLDEN))
+def test_output_bytes_are_pinned(case, tmp_path, capsys):
+    argv, digest = GOLDEN[case]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+_LOG10 = st.floats(-307.0, 308.0)
+# Small sizes keep each call to a few milliseconds; the kernel parameters
+# decide the radii and windows.
+_DOMAIN_FLAGS = {
+    "density": ["--grid-points", "21"],
+    "approx": ["--grid-points", "21"],
+    "moduli": ["--t-list", "0.5,0.25"],
+    "converge": ["--grid-points", "21", "--n-list", "8,16,32"],
+    "stability": ["--grid-points", "21"],
+}
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    subcommand=st.sampled_from(sorted(_DOMAIN_FLAGS)),
+    log_q1=_LOG10, log_theta=_LOG10, log_scale=_LOG10,
+    alpha=st.floats(0.0, 1.0, exclude_min=True),
+    mode=st.sampled_from(["sigmoid", "literal"]),
+    extension=st.sampled_from(["clamp", "zero", "none"]),
+    eval_mode=st.sampled_from(["raw", "renormalized"]),
+)
+def test_whole_parameter_domain_exits_cleanly(tmp_path, capsys, subcommand, log_q1, log_theta,
+                                              log_scale, alpha, mode, extension, eval_mode):
+    """Every subcommand exits 0, 2 or 3 (never 1) and writes no NaN, for
+    log-uniform q - 1, theta and scale over the double range."""
+    out = tmp_path / "out"
+    out.unlink(missing_ok=True)
+    argv = [subcommand, "--q", repr(1.0 + 10.0**log_q1), "--theta", repr(10.0**log_theta),
+            "--scale", repr(10.0**log_scale), "--alpha", repr(alpha), "--mode", mode,
+            "--extension", extension, "--eval-mode", eval_mode, "--out", str(out)]
+    assert main(argv + _DOMAIN_FLAGS[subcommand]) in (0, 2, 3)
+    assert not out.exists() or "nan" not in out.read_text().lower()
 
 
 def _csv_tables(text):

@@ -8,6 +8,7 @@ are checked against scipy quadrature and against Gamma and zeta from
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -345,6 +346,20 @@ class TestTailCutoff:
         for call in self._lattice_calls(d):
             with pytest.raises(NumericalError):
                 call()
+
+    def test_huge_rate_gives_the_smallest_radius(self):
+        # Gamma(s) itself is below the tolerance budget, so every radius is 2
+        # and the second lattice moment is that of the box kernel.
+        d = SymmetrizedDensity(ActivationParams(1e300, 1e300, 1.0))
+        assert d._radius(2, 2.0**-53) == d._partition_radius(1e-10) == 2
+        assert d.second_lattice_moment(0.0, 1e-10) == 0.5
+
+    @pytest.mark.parametrize("rate,power", [(0.0, 0), (0.0, 2), (-1.0, 2)])
+    def test_math_errors_become_numerical_errors(self, rate, power):
+        # ActivationParams refuses such a rate; the radius must not rely on it.
+        d = SymmetrizedDensity(SimpleNamespace(alpha=1.0, rate=rate, mode="sigmoid"))
+        with pytest.raises(NumericalError):
+            d._radius(power, 1e-10)
 
     def test_bad_tolerance_rejected(self, default_density):
         with pytest.raises(InputError):

@@ -1,0 +1,179 @@
+"""Many targets in one operator call, and all stability pairs in one pass.
+
+Each row of ``approximate_many`` must equal the one-target call on the same
+target bit for bit, whatever the other targets, their extensions, the grid
+order or its chunking.  ``stability_suite`` must equal a per-pair loop,
+including a reference that re-derives each gap from two one-target calls and
+each bound from its own lattice window.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nnapprox import (
+    ActivationParams,
+    InputError,
+    NumericalError,
+    OperatorConfig,
+    SymmetrizedDensity,
+    approximate,
+    approximate_grid,
+    approximate_many,
+    make_function,
+    stability_gap,
+    stability_gaps,
+    stability_suite,
+)
+
+KERNELS = {
+    "alpha=1": (2.0, 1.0, 1.0),
+    "alpha=0.5": (2.0, 1.0, 0.5),
+    "heavy-tail": (1.1, 0.5, 0.5),
+}
+TARGETS = [("sin", (1.7,)), ("runge", ()), ("abs_pow", (0.5,)), ("pwlin", (3.0,)),
+           ("const", (-0.25,))]
+EXTENSIONS = ["clamp", "zero", "none"]
+
+
+@pytest.fixture(scope="module")
+def densities():
+    return {name: SymmetrizedDensity(ActivationParams(*p)) for name, p in KERNELS.items()}
+
+
+def _targets(picks, a):
+    return [make_function(*TARGETS[i], half_width=a, extension=ext) for i, ext in picks]
+
+
+def _assert_rows_match_single_calls(cfg, d, fs, grid):
+    many = approximate_many(cfg, d, fs, grid)
+    assert many.shape == (len(fs),) + np.shape(grid)
+    for row, f in zip(many, fs):
+        np.testing.assert_array_equal(row, approximate_grid(cfg, d, f, grid))
+    return many
+
+
+@pytest.mark.parametrize("kernel", list(KERNELS))
+@settings(max_examples=10, deadline=None)
+@given(
+    picks=st.lists(st.tuples(st.integers(0, len(TARGETS) - 1), st.sampled_from(EXTENSIONS)),
+                   min_size=1, max_size=6),
+    eval_mode=st.sampled_from(["raw", "renormalized"]),
+    n=st.integers(1, 600),
+    a=st.sampled_from([0.37, 1.0, 2.5]),
+    xs=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=30),
+)
+def test_each_row_equals_its_one_target_call(densities, kernel, picks, eval_mode, n, a, xs):
+    cfg = OperatorConfig(n, eval_mode=eval_mode)
+    _assert_rows_match_single_calls(cfg, densities[kernel], _targets(picks, a), a * np.array(xs))
+
+
+def test_shuffled_grid_over_several_chunks(default_density, rng):
+    fs = _targets([(0, "clamp"), (1, "none"), (3, "zero"), (2, "clamp")], 1.0)
+    cfg = OperatorConfig(512)
+    grid = np.linspace(-1.0, 1.0, 2001)   # about four chunks of 257-term windows
+    perm = rng.permutation(grid.size)
+    ordered = _assert_rows_match_single_calls(cfg, default_density, fs, grid)
+    shuffled = _assert_rows_match_single_calls(cfg, default_density, fs, grid[perm])
+    np.testing.assert_array_equal(shuffled, ordered[:, perm])
+
+
+def test_two_dimensional_grid_keeps_its_shape(default_density):
+    fs = _targets([(0, "clamp"), (1, "zero")], 1.0)
+    grid = np.linspace(-1.0, 1.0, 12).reshape(3, 4)
+    many = _assert_rows_match_single_calls(OperatorConfig(32), default_density, fs, grid)
+    assert many.shape == (2, 3, 4)
+
+
+def test_windows_spread_wider_than_the_weight_matrix(default_density):
+    # At n = 2**20 the lattice points between these windows outnumber the
+    # chunk's weights, so the targets are sampled on the window matrix itself;
+    # a lone point always takes the gathered samples of its own window.
+    fs = _targets([(0, "clamp"), (4, "zero"), (1, "none")], 1.0)
+    cfg = OperatorConfig(2**20)
+    grid = np.array([-1.0, -0.5, 0.25, 0.9999999])
+    many = _assert_rows_match_single_calls(cfg, default_density, fs, grid)
+    for row, f in zip(many, fs):
+        assert row.tolist() == [approximate(cfg, default_density, f, x) for x in grid]
+
+
+class TestManyTargetErrors:
+    def test_mismatched_half_widths_rejected(self, default_density):
+        fs = [make_function("sin"), make_function("sin", half_width=2.0)]
+        with pytest.raises(InputError, match="shared domain"):
+            approximate_many(OperatorConfig(16), default_density, fs, [0.0])
+        with pytest.raises(InputError, match="shared domain"):
+            stability_suite(default_density, OperatorConfig(16), [tuple(fs)], [0.0])
+
+    def test_one_mismatched_pair_rejects_the_suite(self, default_density):
+        ok = (make_function("sin"), make_function("runge"))
+        bad = (make_function("sin", half_width=2.0), make_function("runge", half_width=2.0))
+        with pytest.raises(InputError):
+            stability_suite(default_density, OperatorConfig(16), [ok, bad], [0.0])
+
+    def test_empty_target_list_rejected(self, default_density):
+        with pytest.raises(InputError):
+            approximate_many(OperatorConfig(16), default_density, [], [0.0])
+        with pytest.raises(InputError):
+            stability_gaps(OperatorConfig(16), default_density, [], [0.0])
+
+    @pytest.mark.parametrize("extensions", [["none", "clamp"], ["none", "zero"], ["clamp"]])
+    def test_literal_renormalize_still_raises(self, literal_density, extensions):
+        # At the right end a "none" window holds one side of the odd literal
+        # kernel, so its mass is far from zero; the tails cancel that mass for
+        # the other extensions.  Every target's mass is checked, not the first.
+        fs = [make_function("sin", extension=ext) for ext in extensions]
+        cfg = OperatorConfig(16)
+        if extensions[0] == "none":
+            assert np.isfinite(approximate_many(cfg, literal_density, fs[:1], [1.0])).all()
+        with pytest.raises(NumericalError, match="too close to zero to renormalize"):
+            approximate_many(cfg, literal_density, fs, [1.0])
+        raw = approximate_many(OperatorConfig(16, eval_mode="raw"), literal_density, fs, [1.0])
+        assert np.all(np.isfinite(raw))
+
+
+def _reference_gap(cfg, d, f, g, grid):
+    """One pair as two one-target calls, and its bound from its own window."""
+    pts = np.asarray(grid, dtype=float)
+    gap = float(np.max(np.abs(approximate_grid(cfg, d, f, pts) - approximate_grid(cfg, d, g, pts))))
+    n, a = cfg.n, f.half_width
+    R = d._partition_radius(cfg.truncation_eps)
+    k0 = max(math.ceil(n * pts.min() - R), math.ceil(-n * a) - 1)
+    k1 = min(math.floor(n * pts.max() + R), math.floor(n * a) + 1)
+    xs = np.arange(k0, k1 + 1) / n
+    inside = (xs >= -a) & (xs <= a)
+    samples, weighted = [], np.ones_like(inside)
+    for h in (f, g):
+        if h.extension == "clamp":
+            samples.append(h(np.clip(xs, -a, a)))
+        else:
+            samples.append(np.where(inside, h(np.where(inside, xs, 0.0)), 0.0))
+            if h.extension == "none":
+                weighted &= inside
+    bound = float(np.max(np.abs(samples[0] - samples[1])[weighted]))
+    return gap, bound
+
+
+@pytest.mark.parametrize("kernel", list(KERNELS))
+@settings(max_examples=8, deadline=None)
+@given(
+    seeds=st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(EXTENSIONS),
+                             st.integers(0, 10**6), st.sampled_from(EXTENSIONS)),
+                   min_size=1, max_size=8),
+    eval_mode=st.sampled_from(["raw", "renormalized"]),
+    n=st.integers(1, 300),
+    a=st.sampled_from([0.37, 1.0, 2.5]),
+    xs=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=20),
+)
+def test_suite_equals_per_pair_loop(densities, kernel, seeds, eval_mode, n, a, xs):
+    d, cfg, grid = densities[kernel], OperatorConfig(n, eval_mode=eval_mode), a * np.array(xs)
+    pairs = [(make_function("pwlin", (s,), a, e), make_function("pwlin", (t,), a, h))
+             for s, e, t, h in seeds]
+    suite = stability_suite(d, cfg, pairs, grid)
+    assert [(gap, bound) for gap, bound, _ in suite] == [
+        stability_gap(cfg, d, f, g, grid) for f, g in pairs
+    ] == [_reference_gap(cfg, d, f, g, grid) for f, g in pairs]
+    assert [ok for _, _, ok in suite] == [gap <= bound + 1e-10 for gap, bound, _ in suite]
