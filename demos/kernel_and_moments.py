@@ -49,6 +49,7 @@ print(f"\nfirst moment:  {m1.value:+.2e} (+- {m1.quadrature_error_estimate:.1e})
 print(f"second moment: {m2.value:.9f} (closed form {np.pi**2 / (3 * lam**2) + 1 / 3:.9f})")
 
 # The discrete counterpart, summed over the integer lattice, matches the
-# continuous second moment and depends only on the offset modulo 1.
-disc = max(d.second_lattice_moment(u, 1e-10) for u in np.linspace(0, 1, 17, endpoint=False))
+# continuous second moment and depends only on the offset modulo 1.  One call
+# takes a whole array of offsets.
+disc = float(np.max(d.second_lattice_moment(np.linspace(0, 1, 17, endpoint=False), 1e-10)))
 print(f"lattice second moment (max over offsets): {disc:.9f}")

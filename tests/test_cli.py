@@ -4,12 +4,13 @@ import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from test_density import scipy_moment
 
-from nnapprox import ActivationParams
+from nnapprox import ActivationParams, SymmetrizedDensity
 from nnapprox.cli import RunConfig, main, parse_config, run_subcommand
 from nnapprox.errors import ParameterError
 
@@ -159,6 +160,27 @@ class TestValidationExits:
         args = ["--q", "1.0000000001", "--theta", "1e-300", "--scale", "1e-300"]
         assert main([subcommand, *args, "--out", str(tmp_path / "o.csv")]) == 2
         assert "rate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subcommand", ["density", "converge"])
+    def test_subnormal_alpha_reports_an_infinite_bound(self, subcommand, tmp_path, capsys):
+        # s = (p + 1) / alpha overflows; the moments' error bounds read inf, not NaN.
+        argv = [subcommand, "--q", "1000001", "--alpha", "5e-324", "--grid-points", "21",
+                "--out", str(tmp_path / "o.csv")]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "error bound inf" in err and "nan" not in err.lower()
+
+    def test_converge_sums_moments_past_the_old_window_budget(self, tmp_path, capsys):
+        # The alpha = 0.3 second-moment window has 9.4e6 terms, which the windowed
+        # sums refused; the offsets behind second_moment_scaled are 0, 1/17, ...
+        out = tmp_path / "c.csv"
+        assert main(["converge", "--alpha", "0.3", "--grid-points", "21", "--n-list", "8,16,32",
+                     "--out", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:4]]
+        d = SymmetrizedDensity(ActivationParams(2.0, 1.0, 0.3))
+        want = max(d.second_lattice_moment(float(u), 1e-10)
+                   for u in np.linspace(0.0, 1.0, 17, endpoint=False))
+        assert [float(row[4]) for row in rows] == [want] * 3
 
     @pytest.mark.parametrize("subcommand", ["approx", "converge", "stability", "density"])
     def test_huge_rate_runs_without_nan(self, subcommand, tmp_path, capsys):
@@ -323,19 +345,21 @@ _DOMAIN_FLAGS = {
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     subcommand=st.sampled_from(sorted(_DOMAIN_FLAGS)),
-    log_q1=_LOG10, log_theta=_LOG10, log_scale=_LOG10,
+    q=st.one_of(_LOG10.map(lambda e: 1.0 + 10.0**e),
+                st.floats(-307.0, 0.0, exclude_max=True).map(lambda e: 1.0 - 10.0**e)),
+    log_theta=_LOG10, log_scale=_LOG10,
     alpha=st.floats(0.0, 1.0, exclude_min=True),
     mode=st.sampled_from(["sigmoid", "literal"]),
     extension=st.sampled_from(["clamp", "zero", "none"]),
     eval_mode=st.sampled_from(["raw", "renormalized"]),
 )
-def test_whole_parameter_domain_exits_cleanly(tmp_path, capsys, subcommand, log_q1, log_theta,
+def test_whole_parameter_domain_exits_cleanly(tmp_path, capsys, subcommand, q, log_theta,
                                               log_scale, alpha, mode, extension, eval_mode):
     """Every subcommand exits 0, 2 or 3 (never 1) and writes no NaN, for
-    log-uniform q - 1, theta and scale over the double range."""
+    log-uniform |q - 1| on both sides of 1, theta and scale over the double range."""
     out = tmp_path / "out"
     out.unlink(missing_ok=True)
-    argv = [subcommand, "--q", repr(1.0 + 10.0**log_q1), "--theta", repr(10.0**log_theta),
+    argv = [subcommand, "--q", repr(q), "--theta", repr(10.0**log_theta),
             "--scale", repr(10.0**log_scale), "--alpha", repr(alpha), "--mode", mode,
             "--extension", extension, "--eval-mode", eval_mode, "--out", str(out)]
     assert main(argv + _DOMAIN_FLAGS[subcommand]) in (0, 2, 3)

@@ -314,12 +314,16 @@ class TestTailCutoff:
         d = SymmetrizedDensity(ActivationParams(2.0, 1.0, 0.5, 1.0, "sigmoid"))
         assert math.isfinite(d.tail_cutoff(1e-10))
 
-    def test_window_budget_failure_raises(self):
-        # The second-moment window here spans more than 8e8 lattice terms.
+    def test_window_past_the_old_budget_matches_mpmath(self):
+        # The second-moment window here spans more than 8e8 lattice terms; the
+        # moments no longer sum a window and match the mpmath series.
+        from test_lattice_moments import mp_lattice_moments
+
         d = SymmetrizedDensity(ActivationParams(1.5, 0.5, 0.3, 1.0, "sigmoid"))
         assert 2.0 * d.tail_cutoff(1e-12) + 1.0 > 8e8
-        with pytest.raises(NumericalError):
-            d.second_lattice_moment(0.37, 1e-12)
+        want1, want2 = mp_lattice_moments(d.params, 0.37)
+        assert d.second_lattice_moment(0.37, 1e-12) == pytest.approx(want2, rel=1e-13)
+        assert d.first_lattice_moment(0.37, 1e-12) == pytest.approx(want1, abs=1e-13 * want2)
 
     @staticmethod
     def _lattice_calls(d):
@@ -341,11 +345,17 @@ class TestTailCutoff:
         assert d.integral(1e-8) == 1.0
 
     def test_radius_above_two_to_the_52_raises(self):
-        # The translate-sum radius 1 + (54 ln 2)**10 is finite, about 5.5e15.
+        # The translate-sum radius 1 + (54 ln 2)**10 is finite, about 5.5e15.  The
+        # lattice moments need no radius and match the mpmath series.
+        from test_lattice_moments import mp_lattice_moments
+
         d = SymmetrizedDensity(ActivationParams(math.e, 1.0, 0.1))
-        for call in self._lattice_calls(d):
+        for call in self._lattice_calls(d)[:2]:   # tail_cutoff and partition_sum
             with pytest.raises(NumericalError):
                 call()
+        want1, want2 = mp_lattice_moments(d.params, 0.3)
+        assert d.second_lattice_moment(0.3, 1e-10) == pytest.approx(want2, rel=1e-13)
+        assert d.first_lattice_moment(0.3, 1e-10) == pytest.approx(want1, abs=1e-13 * want2)
 
     def test_huge_rate_gives_the_smallest_radius(self):
         # Gamma(s) itself is below the tolerance budget, so every radius is 2

@@ -84,6 +84,21 @@ class TestConvergenceSweep:
         fit = fit_loglog_slope(recs)
         assert fit.slope == pytest.approx(-2.0, abs=0.3)
 
+    def test_moment_over_all_offsets_in_one_call(self, default_density, monkeypatch):
+        shapes = []
+        original = SymmetrizedDensity.second_lattice_moment
+
+        def counted(self, u, eps):
+            shapes.append(np.shape(u))
+            return original(self, u, eps)
+
+        monkeypatch.setattr(SymmetrizedDensity, "second_lattice_moment", counted)
+        records = convergence_sweep(make_function("sin"), default_density, OperatorConfig(8),
+                                    [8, 16], np.linspace(-0.5, 0.5, 11))
+        assert shapes == [(17,)]
+        assert records[0].second_moment_scaled == max(
+            original(default_density, u, 1e-10) for u in np.linspace(0.0, 1.0, 17, endpoint=False))
+
     def test_bad_n_list_rejected(self, default_density):
         f = make_function("sin")
         grid = np.linspace(-0.8, 0.8, 9)
@@ -101,6 +116,15 @@ class TestSecondMomentUniformity:
         vals = [v for _, v in rows]
         assert max(vals) - min(vals) < 1e-6
         assert all(math.isfinite(v) and v > 0.0 for v in vals)
+
+    def test_each_n_takes_the_moment_at_n_x(self):
+        # At alpha = 0.5 the moment varies with the offset, so the offsets n x for
+        # n = 2 (0.2, 0.6) and n = 5 (0.5, 1.5) give different maxima.
+        d = SymmetrizedDensity(ActivationParams(2.0, 1.0, 0.5))
+        rows = second_moment_uniformity(d, [2, 5], (0.1, 0.3))
+        assert rows == [(n, max(d.second_lattice_moment(n * x, 1e-10) for x in (0.1, 0.3)))
+                        for n in (2, 5)]
+        assert rows[0][1] != rows[1][1]
 
     def test_steeper_decay_shrinks_moment(self):
         base = SymmetrizedDensity(ActivationParams(2.0, 1.0, 1.0, 1.0, "sigmoid"))
