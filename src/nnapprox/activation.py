@@ -74,14 +74,14 @@ class ActivationParams:
 
 
 def _stable_expit(t: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-t)) evaluated without overflow on either side."""
-    out = np.empty_like(t)
-    pos = t >= 0.0
-    with np.errstate(over="ignore", under="ignore"):
-        out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
-        e = np.exp(t[~pos])
-        out[~pos] = e / (1.0 + e)
-    return out
+    """1 / (1 + exp(-t)) evaluated without overflow on either side.
+
+    One formula for both signs: ``exp(min(t, 0)) / (1 + exp(-|t|))`` is
+    ``1 / (1 + exp(-t))`` for ``t >= 0`` and ``e / (1 + e)`` with ``e = exp(t)``
+    below, and neither exponential can overflow.
+    """
+    with np.errstate(under="ignore"):
+        return np.exp(np.minimum(t, 0.0)) / (1.0 + np.exp(-np.abs(t)))
 
 
 def _expit_diff(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:

@@ -141,6 +141,10 @@ def _flag_parser() -> argparse.ArgumentParser:
     return p
 
 
+# Built once: every default is SUPPRESS, so parse_args leaves the parser unchanged.
+_FLAG_PARSER = _flag_parser()
+
+
 def _read_config_file(path: str) -> dict:
     values = {}
     with open(path, "r", encoding="utf-8") as fh:
@@ -185,7 +189,7 @@ def _validate(cfg: RunConfig) -> RunConfig:
 
 def parse_config(argv, config_file: str | None = None) -> RunConfig:
     """Resolve flags over config-file values over defaults into a RunConfig."""
-    ns = _flag_parser().parse_args(list(argv))
+    ns = _FLAG_PARSER.parse_args(list(argv))
     provided = {k: v for k, v in vars(ns).items() if k != "config"}
     path = ns.config if ns.config is not None else config_file
     file_values = _read_config_file(path) if path else {}

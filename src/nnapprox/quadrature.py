@@ -1,16 +1,22 @@
 """Adaptive composite Simpson quadrature with a global error budget.
 
-Intervals carry the interval-halving Richardson estimate ``(S2 - S1) / 15``.
-Refinement splits every interval whose estimate exceeds its share of the
-remaining budget, so a single hard spot (an integrable cusp, say) may claim
-almost the whole tolerance instead of a length-proportional sliver.  All
-integrand evaluations within a sweep are batched into one vectorized call.
+The intervals live in one ``(7, m)`` table, a column per interval, with the
+rows ``[xa, xb, f(xa), f(lm), f(xm), f(rm), f(xb)]``: the two ends, then the
+integrand at the ends, at the midpoint ``xm`` and at the quarter points ``lm``
+and ``rm``.  Each sweep computes from it the whole-interval Simpson sum ``S1``,
+the two-half sum ``S2`` and their difference, whose interval-halving
+Richardson correction is ``(S2 - S1) / 15``.  Refinement splits every
+interval whose difference exceeds its share of the budget, so a single hard
+spot (an integrable cusp, say) may claim almost the whole tolerance instead
+of a length-proportional sliver.  A split interval hands its five stencil
+values to its two halves, which need only their new quarter points, and all
+of a sweep's evaluations go into one vectorized call.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -18,112 +24,74 @@ from .errors import NumericalError
 
 __all__ = ["adaptive_simpson"]
 
-
-def _fsum(arr: np.ndarray) -> float:
-    return math.fsum(arr.tolist())
-
-
-def _initial_edges(a: float, b: float, knots: Sequence[float] | None) -> np.ndarray:
-    pts = {a, b}
-    if knots is not None:
-        pts.update(k for k in knots if a < k < b)
-    edges = np.array(sorted(pts), dtype=float)
-    # Bisect until at least 16 panels so the first error scan sees structure.
-    while edges.size - 1 < 16:
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        edges = np.sort(np.concatenate([edges, mids]))
-    return edges
+_MAX_INTERVALS = 400_000
+_MAX_SWEEPS = 400
 
 
 def adaptive_simpson(
-    fn: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    tol: float,
-    *,
-    knots: Sequence[float] | None = None,
-    max_intervals: int = 400_000,
-    max_sweeps: int = 400,
+    fn: Callable[[np.ndarray], np.ndarray], a: float, b: float, tol: float
 ) -> tuple[float, float]:
     """Integrate ``fn`` over [a, b] to absolute tolerance ``tol``.
 
     Returns ``(value, error_estimate)`` with the estimate below ``tol``.
-    ``fn`` must accept and return ndarrays.  Raises NumericalError if the
-    interval or sweep budget is exhausted before the estimate converges.
+    ``fn`` must accept and return ndarrays.  The work starts from 16 equal
+    panels.  Raises NumericalError if the interval or sweep budget is
+    exhausted before the estimate converges.
     """
     if tol <= 0.0:
         raise NumericalError("quadrature tolerance must be positive")
     if a == b:
         return 0.0, 0.0
     if a > b:
-        val, err = adaptive_simpson(
-            fn, b, a, tol, knots=knots, max_intervals=max_intervals, max_sweeps=max_sweeps
-        )
+        val, err = adaptive_simpson(fn, b, a, tol)
         return -val, err
 
-    edges = _initial_edges(a, b, knots)
-    xa = edges[:-1]
-    xb = edges[1:]
-    fa = _eval(fn, xa)
-    fb = _eval(fn, xb)
-    xm = 0.5 * (xa + xb)
-    fm = _eval(fn, xm)
-    s1 = (xb - xa) / 6.0 * (fa + 4.0 * fm + fb)
+    edges = np.array([a, b], dtype=float)
+    while edges.size < 17:
+        edges = np.sort(np.concatenate([edges, 0.5 * (edges[:-1] + edges[1:])]))
+    f_edges = _eval(fn, edges)
+    f_mid = _eval(fn, 0.5 * (edges[:-1] + edges[1:]))
+    table = _stencil(fn, edges[:-1], edges[1:], f_edges[:-1], f_mid, f_edges[1:])
 
-    sl, sr, flm, frm = _child_stats(fn, xa, xb, fa, fm, fb)
-    s2 = sl + sr
-    # Budget with the raw halving difference: the /15 Richardson factor only
-    # holds for smooth integrands and undershoots at integrable cusps.
-    err = s2 - s1
-
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
+        xa, xb, fa, flm, fm, frm, fb = table
+        xm = 0.5 * (xa + xb)
+        s1 = (xb - xa) / 6.0 * (fa + 4.0 * fm + fb)
+        s2 = (xm - xa) / 6.0 * (fa + 4.0 * flm + fm) + (xb - xm) / 6.0 * (fm + 4.0 * frm + fb)
+        # Budget with the raw halving difference: the /15 Richardson factor only
+        # holds for smooth integrands and undershoots at integrable cusps.
+        err = s2 - s1
         abs_err = np.abs(err)
-        total = _fsum(abs_err)
+        total = math.fsum(abs_err.tolist())
         if total <= tol:
-            return _fsum(s2 + err / 15.0), total
+            return math.fsum((s2 + err / 15.0).tolist()), total
 
         split = abs_err > tol / (2.0 * err.size)
         if not np.any(split):
             split = abs_err == abs_err.max()
-        if err.size + np.count_nonzero(split) > max_intervals:
+        if err.size + np.count_nonzero(split) > _MAX_INTERVALS:
             raise NumericalError(
-                f"quadrature interval budget exceeded ({max_intervals}) at "
+                f"quadrature interval budget exceeded ({_MAX_INTERVALS}) at "
                 f"error {total:.3e} > tol {tol:.3e}"
             )
 
-        keep = ~split
-        mid = 0.5 * (xa[split] + xb[split])
-        if np.any(mid <= xa[split]) or np.any(mid >= xb[split]):
+        mid = xm[split]
+        xa, xb, fa, flm, fm, frm, fb = table[:, split]
+        if np.any(mid <= xa) or np.any(mid >= xb):
             raise NumericalError("quadrature interval underflow before convergence")
-
-        # Children inherit the half-Simpson values already computed for the parent.
-        cxa = np.concatenate([xa[split], mid])
-        cxb = np.concatenate([mid, xb[split]])
-        cfa = np.concatenate([fa[split], fm[split]])
-        cfb = np.concatenate([fm[split], fb[split]])
-        cxm = np.concatenate([0.5 * (xa[split] + mid), 0.5 * (mid + xb[split])])
-        cfm = np.concatenate([flm[split], frm[split]])
-        cs1 = np.concatenate([sl[split], sr[split]])
-
-        csl, csr, cflm, cfrm = _child_stats(fn, cxa, cxb, cfa, cfm, cfb)
-        cs2 = csl + csr
-        cerr = cs2 - cs1
-
-        xa = np.concatenate([xa[keep], cxa])
-        xb = np.concatenate([xb[keep], cxb])
-        fa = np.concatenate([fa[keep], cfa])
-        fb = np.concatenate([fb[keep], cfb])
-        fm = np.concatenate([fm[keep], cfm])
-        flm = np.concatenate([flm[keep], cflm])
-        frm = np.concatenate([frm[keep], cfrm])
-        sl = np.concatenate([sl[keep], csl])
-        sr = np.concatenate([sr[keep], csr])
-        s2 = np.concatenate([s2[keep], cs2])
-        err = np.concatenate([err[keep], cerr])
+        halves = np.concatenate([[xa, mid, fa, flm, fm], [mid, xb, fm, frm, fb]], axis=1)
+        table = np.concatenate([table[:, ~split], _stencil(fn, *halves)], axis=1)
 
     raise NumericalError(
-        f"quadrature did not reach tol {tol:.3e} within {max_sweeps} refinement sweeps"
+        f"quadrature did not reach tol {tol:.3e} within {_MAX_SWEEPS} refinement sweeps"
     )
+
+
+def _stencil(fn, xa, xb, fa, fm, fb) -> np.ndarray:
+    """Table columns for intervals whose end and midpoint values are known."""
+    xm = 0.5 * (xa + xb)
+    f = _eval(fn, np.concatenate([0.5 * (xa + xm), 0.5 * (xm + xb)]))
+    return np.array([xa, xb, fa, f[:xa.size], fm, f[xa.size:], fb])
 
 
 def _eval(fn, x: np.ndarray) -> np.ndarray:
@@ -133,17 +101,3 @@ def _eval(fn, x: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(y)):
         raise NumericalError("integrand returned a non-finite value")
     return y
-
-
-def _child_stats(fn, xa, xb, fa, fm, fb):
-    """Simpson values of both halves of each interval plus the new midpoints."""
-    xm = 0.5 * (xa + xb)
-    lm = 0.5 * (xa + xm)
-    rm = 0.5 * (xm + xb)
-    k = lm.size
-    fnew = _eval(fn, np.concatenate([lm, rm]))
-    flm, frm = fnew[:k], fnew[k:]
-    h = xm - xa
-    sl = h / 6.0 * (fa + 4.0 * flm + fm)
-    sr = (xb - xm) / 6.0 * (fm + 4.0 * frm + fb)
-    return sl, sr, flm, frm

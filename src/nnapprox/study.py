@@ -43,8 +43,11 @@ CSV_COLUMNS = (
     "wall_time_ms",
 )
 
-_DEFAULT_U_GRID = tuple(np.linspace(0.0, 1.0, 17, endpoint=False))
+# Offsets mod 1 at which the sweep takes the max of the second lattice moment.
+_U_GRID = tuple(np.linspace(0.0, 1.0, 17, endpoint=False))
 _DEFAULT_X_GRID = tuple(np.linspace(-1.0, 1.0, 201))
+# A stability pair passes when its gap is within this of the lattice bound.
+_SLACK = 1e-10
 
 
 @dataclass(frozen=True)
@@ -86,13 +89,11 @@ def convergence_sweep(
     cfg_template: OperatorConfig,
     n_list: Sequence[int],
     grid,
-    u_grid: Sequence[float] = _DEFAULT_U_GRID,
 ) -> list[ConvergenceRecord]:
     """One record per n: sup-error on ``grid`` plus modulus bounds at 1/n."""
     ns = _validate_n_list(n_list)
     # The scaled second moment depends on the offset modulo 1 only, not on n.
-    m2 = float(np.max(d.second_lattice_moment(np.asarray(u_grid, dtype=float),
-                                              cfg_template.truncation_eps)))
+    m2 = float(np.max(d.second_lattice_moment(_U_GRID, cfg_template.truncation_eps)))
     records = []
     for n in ns:
         start = time.perf_counter()
@@ -137,6 +138,8 @@ def second_moment_uniformity(
     """
     ns = _validate_n_list(n_list)
     xs = np.asarray(x_grid, dtype=float)
+    if xs.size == 0:
+        raise InputError("x_grid must be nonempty")
     return [(n, float(np.max(d.second_lattice_moment(n * xs, eps)))) for n in ns]
 
 
@@ -145,10 +148,9 @@ def stability_suite(
     cfg: OperatorConfig,
     pairs: Sequence[tuple[FunctionSpec, FunctionSpec]],
     grid,
-    slack: float = 1e-10,
 ) -> list[tuple[float, float, bool]]:
-    """Gap and lattice bound per pair, with pass = (gap <= bound + slack)."""
-    return [(gap, bound, gap <= bound + slack)
+    """Gap and lattice bound per pair, with pass = (gap <= bound + 1e-10)."""
+    return [(gap, bound, gap <= bound + _SLACK)
             for gap, bound in stability_gaps(cfg, d, pairs, grid)]
 
 

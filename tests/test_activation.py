@@ -159,6 +159,39 @@ class TestSaturatedDifference:
             assert w.tolist() == [0, 0, 0, 0.25, 0.5, 0.5, 0.5, 0.25, 0, 0, 0]
 
 
+class TestStableExpit:
+    """The one-formula logistic equals the two-branch form it replaced, bit for bit:
+    ``1 / (1 + exp(-t))`` for ``t >= 0`` and ``e / (1 + e)`` with ``e = exp(t)`` below."""
+
+    SPECIAL = [0.0, -0.0, np.inf, -np.inf, 1e308, -1e308, 745.2, -745.2, 5e-324, -5e-324,
+               709.8, -709.8, 36.7, -36.7, 1.0, -1.0, np.nan]
+
+    @staticmethod
+    def _two_branch(t):
+        out = np.empty_like(t)
+        pos = t >= 0.0
+        with np.errstate(over="ignore", under="ignore"):
+            out[pos] = 1.0 / (1.0 + np.exp(-t[pos]))
+            e = np.exp(t[~pos])
+            out[~pos] = e / (1.0 + e)
+        return out
+
+    def test_bit_identical_to_two_branch_formula(self):
+        rng = np.random.default_rng(20)
+        t = np.concatenate([
+            self.SPECIAL,
+            rng.uniform(-50.0, 50.0, 20_000),
+            rng.choice([-1.0, 1.0], 20_000) * 10.0 ** rng.uniform(-320.0, 308.0, 20_000),
+        ])
+        got, want = _stable_expit(t), self._two_branch(t)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_no_warning_at_the_extremes(self):
+        with np.errstate(all="raise"):
+            out = _stable_expit(np.array(self.SPECIAL[:-1]))
+        assert np.all((out >= 0.0) & (out <= 1.0))
+
+
 class TestOneExponentFormula:
     """Activation and kernel values equal the formulas they had when each
     module wrote its exponent out by hand, bit for bit."""

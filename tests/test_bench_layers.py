@@ -10,6 +10,7 @@ import importlib.util
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import nnapprox
@@ -49,3 +50,24 @@ def test_tracer_installs_and_restores():
     finally:
         tracer.uninstall()
     assert nnapprox.SymmetrizedDensity.partition_sum is original
+
+
+def test_tracer_counts_quadrature_evals_through_lp_norm():
+    received = []
+
+    def recording(x):
+        received.append(np.size(x))
+        return np.sin(3.0 * x)
+
+    f = nnapprox.FunctionSpec("probe", (), 1.0, "clamp", recording)
+    untraced = nnapprox.lp_norm(f, 2.0)
+    received.clear()
+    tracer = spans.Tracer(LIB)
+    try:
+        tracer.install()
+        assert nnapprox.lp_norm(f, 2.0) == untraced
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    assert metrics["quadrature.calls"] == 1
+    assert metrics["quadrature.evals"] == sum(received) > 0

@@ -107,6 +107,15 @@ class TestParseConfig:
         assert parse_config(["--out", "none"]).out is None
         assert parse_config(["--config", str(path)]).out is None
 
+    def test_consecutive_calls_do_not_leak_values(self):
+        # The flag parser is shared between calls; a flag given once must not
+        # become the default of the next call.
+        assert parse_config(["--n", "5"]).n == 5
+        assert parse_config([]).n == 64
+        assert parse_config(["--timed-output"]).timed_output is True
+        assert parse_config([]).timed_output is False
+        assert parse_config([]) == RunConfig()
+
     def test_comments_and_blanks_ignored(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("# a comment\n\nq=4.0\n")

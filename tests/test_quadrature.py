@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from nnapprox import NumericalError, adaptive_simpson
+from nnapprox import NumericalError, adaptive_simpson, builtin_functions, lp_norm, make_function
 
 
 class TestClosedForms:
@@ -36,13 +36,6 @@ class TestHardIntegrands:
         assert val == pytest.approx(expected, abs=5e-9)
         assert err <= 1e-9
 
-    def test_narrow_bump_found_via_knots(self):
-        # A width-0.01 bump inside a huge interval is invisible to coarse
-        # panels unless a knot pins it down.
-        bump = lambda x: np.exp(-((x - 3.0) ** 2) / 2e-4)
-        val, _ = adaptive_simpson(bump, -1e6, 1e6, 1e-10, knots=[2.9, 3.0, 3.1])
-        assert val == pytest.approx(math.sqrt(2.0 * math.pi * 1e-4), rel=1e-7)
-
     def test_matches_scipy_quad_on_oscillatory(self):
         fn = lambda x: np.sin(7.0 * x) * np.exp(-x * x)
         val, _ = adaptive_simpson(fn, -4.0, 9.0, 1e-11)
@@ -53,8 +46,8 @@ class TestHardIntegrands:
 class TestFailureModes:
     def test_interval_budget_exhaustion(self):
         rough = lambda x: np.sin(1.0 / (np.abs(x) + 1e-12))
-        with pytest.raises(NumericalError):
-            adaptive_simpson(rough, -1.0, 1.0, 1e-14, max_intervals=64, max_sweeps=10)
+        with pytest.raises(NumericalError, match=r"interval budget exceeded \(400000\)"):
+            adaptive_simpson(rough, -1.0, 1.0, 1e-14)
 
     def test_non_finite_integrand_rejected(self):
         def blows_up(x):
@@ -67,3 +60,57 @@ class TestFailureModes:
     def test_bad_tolerance_rejected(self):
         with pytest.raises(NumericalError):
             adaptive_simpson(np.sin, 0.0, 1.0, 0.0)
+
+
+def _hex_pair(pair):
+    return tuple(float(v).hex() for v in pair)
+
+
+class TestPinnedBits:
+    """Exact ``(value, estimate)`` bits: a change to the panel layout, the split
+    rule, the Simpson arithmetic or the final summation shows here."""
+
+    def test_cusp(self):
+        pair = adaptive_simpson(lambda x: np.abs(x) ** 0.3, -1.0, 2.0, 1e-9)
+        assert _hex_pair(pair) == ("0x1.54e6fc1e5aebbp+1", "0x1.ea4326f932100p-31")
+
+    def test_oscillatory(self):
+        pair = adaptive_simpson(lambda x: np.sin(7.0 * x) * np.exp(-x * x), -4.0, 9.0, 1e-11)
+        assert _hex_pair(pair) == ("-0x1.2c8140e202a29p-28", "0x1.1657407629e87p-37")
+
+    def test_reversed_limits(self):
+        pair = adaptive_simpson(np.exp, 1.0, 0.0, 1e-12)
+        assert _hex_pair(pair) == ("-0x1.b7e151628aed2p+0", "0x1.2538800000000p-43")
+
+    L2_NORMS = {
+        "const": "0x1.6a09e667f3bcdp+0",
+        "linear": "0x1.a20bd700c2c3ep-1",
+        "poly": "0x1.a9cffe93c0333p-1",
+        "sin": "0x1.0000000000000p+0",
+        "abs_pow": "0x1.0000000000000p+0",
+        "runge": "0x1.1e82aa4d4458cp-1",
+        "osc": "0x1.32a19f3dbe239p-1",
+        "pwlin": "0x1.a57ce2cfd3c45p-1",
+    }
+
+    def test_every_builtin_target_is_pinned(self):
+        assert sorted(e.name for e in builtin_functions()) == sorted(self.L2_NORMS)
+
+    @pytest.mark.parametrize("name", sorted(L2_NORMS))
+    def test_l2_norm_of_builtin_target(self, name):
+        assert lp_norm(make_function(name), 2.0).hex() == self.L2_NORMS[name]
+
+    def test_each_point_is_evaluated_once(self):
+        # 16 panels: 17 edges, 16 midpoints and 32 quarter points up front;
+        # after that each split adds only the quarter points of its halves.
+        seen = []
+
+        def recording(x):
+            seen.append(x.copy())
+            return np.exp(x)
+
+        adaptive_simpson(recording, 0.0, 1.0, 1e-12)
+        assert [x.size for x in seen[:3]] == [17, 16, 32]
+        assert len(seen) > 3 and all(x.size % 4 == 0 for x in seen[3:])
+        points = np.concatenate(seen)
+        assert np.unique(points).size == points.size

@@ -126,6 +126,10 @@ class TestSecondMomentUniformity:
                         for n in (2, 5)]
         assert rows[0][1] != rows[1][1]
 
+    def test_empty_x_grid_rejected(self, default_density):
+        with pytest.raises(InputError, match="x_grid"):
+            second_moment_uniformity(default_density, [8], ())
+
     def test_steeper_decay_shrinks_moment(self):
         base = SymmetrizedDensity(ActivationParams(2.0, 1.0, 1.0, 1.0, "sigmoid"))
         steep = SymmetrizedDensity(ActivationParams(2.0, 2.0, 1.0, 1.0, "sigmoid"))
