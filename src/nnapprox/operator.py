@@ -103,9 +103,9 @@ def _tail_masses(d: SymmetrizedDensity, u: np.ndarray, k_lo: int, k_hi: int):
     """Total kernel weight of the lattice points left of k_lo and right of k_hi; the
     telescoped left tail's sign follows phi's limit at +inf (1 sigmoid, 0 literal)."""
     sign = 1.0 if d.params.mode == "sigmoid" else -1.0
-    left = sign * 0.5 * (d._phi(k_lo - u - 1.0) + d._phi(k_lo - u))
-    right = 0.5 * (d._phi(u - k_hi) + d._phi(u - k_hi - 1.0))
-    return left, right
+    args = np.stack([k_lo - u - 1.0, k_lo - u, u - k_hi, u - k_hi - 1.0])
+    lo_out, lo_in, hi_in, hi_out = d._phi(args)
+    return sign * 0.5 * (lo_out + lo_in), 0.5 * (hi_in + hi_out)
 
 
 def approximate_many(cfg: OperatorConfig, d: SymmetrizedDensity, fs, grid) -> np.ndarray:

@@ -36,10 +36,18 @@ def adaptive_simpson(
     Returns ``(value, error_estimate)`` with the estimate below ``tol``.
     ``fn`` must accept and return ndarrays.  The work starts from 16 equal
     panels.  Raises NumericalError if the interval or sweep budget is
-    exhausted before the estimate converges.
+    exhausted before the estimate converges, and at once if a limit is not
+    finite or exceeds half the largest double, where widths or midpoints
+    of the panels would overflow.
     """
     if tol <= 0.0:
         raise NumericalError("quadrature tolerance must be positive")
+    a, b = float(a), float(b)
+    if not (math.isfinite(2.0 * a) and math.isfinite(2.0 * b)):
+        raise NumericalError(
+            f"quadrature limits [{a!r}, {b!r}] must be finite and at most half the "
+            f"largest double in magnitude, or panel widths and midpoints overflow"
+        )
     if a == b:
         return 0.0, 0.0
     if a > b:

@@ -14,7 +14,7 @@ from nnapprox import (
     SymmetrizedDensity,
     activation_value,
 )
-from nnapprox.activation import _expit_diff, _stable_expit
+from nnapprox.activation import _FAR, _expit_diff, _stable_expit
 
 
 class TestFrozenValues:
@@ -190,6 +190,63 @@ class TestStableExpit:
         with np.errstate(all="raise"):
             out = _stable_expit(np.array(self.SPECIAL[:-1]))
         assert np.all((out >= 0.0) & (out <= 1.0))
+
+
+class TestOneFormulaExpitDiff:
+    """The one-formula saturated difference equals the masked three-branch form it
+    replaced, bit for bit, on special values, on ``hi == lo`` and at every scale."""
+
+    SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 36.7, -36.7, 709.8, -709.8,
+               745.2, -745.2, 1e308, -1e308, np.inf, -np.inf]
+
+    @staticmethod
+    def _three_branch(hi, lo):
+        out = np.empty_like(hi)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            both_pos = lo >= 0.0
+            h, l = hi[both_pos], lo[both_pos]
+            el = np.exp(-l)
+            out[both_pos] = (-el * np.expm1(l - h)) / ((1.0 + np.exp(-h)) * (1.0 + el))
+
+            both_neg = hi <= 0.0
+            h, l = hi[both_neg], lo[both_neg]
+            el = np.exp(l)
+            out[both_neg] = (el * np.expm1(h - l)) / ((1.0 + np.exp(h)) * (1.0 + el))
+
+            mixed = ~(both_pos | both_neg)
+            out[mixed] = _stable_expit(hi[mixed]) - _stable_expit(lo[mixed])
+
+            if lo.size and (lo.min() < -_FAR or lo.max() > _FAR):
+                far = (lo > _FAR) | ((lo < -_FAR) & (hi <= 0.0))
+                sign = np.sign(lo[far])
+                e_lo, e_hi = np.exp(-sign * lo[far]), np.exp(-sign * hi[far])
+                out[far] = sign * (e_lo - e_hi) / ((1.0 + e_lo) * (1.0 + e_hi))
+        return out
+
+    def _assert_bits(self, hi, lo):
+        got, want = _expit_diff(hi, lo), self._three_branch(hi, lo)
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_special_value_grid(self):
+        h, l = np.meshgrid(self.SPECIAL, self.SPECIAL)
+        keep = h >= l                       # the diagonal gives every hi == lo
+        self._assert_bits(h[keep], l[keep])
+        self._assert_bits(np.array(self.SPECIAL), np.array(self.SPECIAL))
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 30.0, 700.0, 1e3, 1e10, 1e100, 1e300])
+    def test_random_pairs_at_scale(self, scale):
+        rng = np.random.default_rng(int(math.log10(scale) * 10) + 40)
+        a = rng.standard_normal(20_000) * scale
+        b = a + rng.standard_normal(20_000) * scale * rng.choice([1e-12, 1e-3, 1.0], 20_000)
+        self._assert_bits(np.maximum(a, b), np.minimum(a, b))
+        self._assert_bits(np.maximum(a, b).reshape(100, 200), np.minimum(a, b).reshape(100, 200))
+
+    @pytest.mark.parametrize("hi,lo", [(0.0, 0.0), (0.5, -0.5), (-3.0, -800.0), (760.0, 750.0)])
+    def test_zero_dimensional_inputs(self, hi, lo):
+        got = _expit_diff(np.array(hi), np.array(lo))
+        assert got.shape == ()
+        self._assert_bits(np.array(hi), np.array(lo))
 
 
 class TestOneExponentFormula:

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nnapprox import (
+    FunctionSpec,
     InputError,
+    builtin_functions,
     holder_constant,
     lp_norm,
     make_function,
@@ -16,6 +18,7 @@ from nnapprox import (
     second_modulus,
     sup_norm,
 )
+from nnapprox.moduli import _grid, _window_steps
 
 
 def all_pairs_modulus(f, t, n_points):
@@ -96,6 +99,54 @@ class TestModulus:
         ts = np.linspace(0.05, 0.5, 10)
         vals = [modulus(f, float(t), 0.01).value for t in ts]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
+
+
+def sliding_window_spread(vals, w):
+    """Reference: the largest max - min over windows of w + 1 consecutive samples,
+    each window materialized as a strided view and reduced on its own."""
+    windows = np.lib.stride_tricks.sliding_window_view(vals, w + 1)
+    return float((windows.max(axis=1) - windows.min(axis=1)).max())
+
+
+class TestWindowedBits:
+    """``modulus`` equals the sliding-window max/min it replaced, bit for bit."""
+
+    @staticmethod
+    def _samples(vals):
+        # The grid on [-(N-1)/2, (N-1)/2] at step 1 has exactly N points, and
+        # t = w spans exactly w steps.
+        return FunctionSpec("samples", (), (vals.size - 1) / 2.0, "clamp", fn=lambda x: vals)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 31, 32, 33, 100, 1000, 4096, 4097])
+    def test_seeded_vectors(self, n):
+        rng = np.random.default_rng(n)
+        vectors = [
+            rng.standard_normal(n),
+            np.cumsum(rng.standard_normal(n)),
+            rng.integers(-3, 4, n).astype(float),          # ties in max and min
+            rng.standard_normal(n) * 10.0 ** rng.uniform(-300, 300, n),
+        ]
+        widths = sorted({w for w in (1, 2, 3, 4, 5, 7, 8, 15, 16, n // 2, n - 1) if 1 <= w <= n - 1})
+        for vals in vectors:
+            f = self._samples(vals)
+            for w in widths:
+                got = modulus(f, float(w), 1.0)
+                assert got.grid_step == 1.0
+                assert got.value.hex() == sliding_window_spread(vals, w).hex(), (n, w)
+
+    def test_large_window(self):
+        vals = np.cumsum(np.random.default_rng(20001).standard_normal(20001))
+        got = modulus(self._samples(vals), 10000.0, 1.0).value
+        assert got.hex() == sliding_window_spread(vals, 10000).hex()
+
+    @pytest.mark.parametrize("name", sorted(e.name for e in builtin_functions()))
+    def test_builtin_targets_at_default_widths(self, name):
+        f = make_function(name)
+        for n in (8, 16, 32, 64, 128, 256, 512):
+            t = 1.0 / n
+            xs, h = _grid(f, t / 4.0)
+            want = sliding_window_spread(f(xs), _window_steps(t, h, xs.size - 1))
+            assert modulus(f, t, t / 4.0).value.hex() == want.hex(), (name, n)
 
 
 class TestSecondModulus:

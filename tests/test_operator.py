@@ -22,6 +22,7 @@ from nnapprox import (
     stability_gap,
     sup_error,
 )
+from nnapprox.operator import _tail_masses
 
 
 def spec_from(fn, half_width=1.0, extension="clamp", name="adhoc"):
@@ -309,3 +310,19 @@ def test_even_target_gives_even_output(alpha, extension, eval_mode, target, n, a
     out = approximate_grid(cfg, SIGMOID_DENSITIES[alpha], f, np.concatenate([-half[::-1], half]))
     scale = float(np.max(np.abs(f(np.linspace(-a, a, 101)))))
     np.testing.assert_allclose(out[: half.size][::-1], out[half.size :], rtol=0, atol=1e-14 * scale)
+
+
+@pytest.mark.parametrize("mode", ["sigmoid", "literal"])
+@pytest.mark.parametrize("q,theta,alpha", [(2.0, 1.0, 1.0), (2.0, 1.0, 0.5), (1.1, 0.5, 0.5), (0.3, 2.5, 0.7)])
+def test_tail_masses_match_four_separate_logistic_calls(q, theta, alpha, mode):
+    # One stacked call of phi gives the bits of the four calls it replaced.
+    d = SymmetrizedDensity(ActivationParams(q, theta, alpha, 1.0, mode))
+    rng = np.random.default_rng(7)
+    u = np.concatenate([np.arange(-80.0, 80.5, 0.5), rng.uniform(-1e4, 1e4, 2000), [0.0, -0.0]])
+    k_lo, k_hi = -64, 64
+    sign = 1.0 if mode == "sigmoid" else -1.0
+    left = sign * 0.5 * (d._phi(k_lo - u - 1.0) + d._phi(k_lo - u))
+    right = 0.5 * (d._phi(u - k_hi) + d._phi(u - k_hi - 1.0))
+    got_left, got_right = _tail_masses(d, u, k_lo, k_hi)
+    np.testing.assert_array_equal(got_left.view(np.int64), left.view(np.int64))
+    np.testing.assert_array_equal(got_right.view(np.int64), right.view(np.int64))

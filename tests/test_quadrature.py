@@ -1,6 +1,7 @@
 """Adaptive Simpson: closed forms, cusps, budget failures, scipy cross-check."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -56,6 +57,35 @@ class TestFailureModes:
 
         with pytest.raises(NumericalError):
             adaptive_simpson(blows_up, 0.0, 1.0, 1e-8)
+
+    # The last two pass the finiteness of a, b, b - a and a + b, but the
+    # midpoints of the panels next to b would still overflow.
+    @pytest.mark.parametrize("a,b", [(1e308, 1.7e308), (0.0, math.inf), (-math.inf, 0.0),
+                                     (math.nan, 1.0), (0.0, 1.7e308), (-1e307, 9.5e307)])
+    def test_overflowing_limits_fail_fast(self, a, b):
+        calls = []
+
+        def ones(x):
+            calls.append(x)
+            return np.ones_like(x)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="quadrature limits"):
+                adaptive_simpson(ones, a, b, 1e-6)
+            with pytest.raises(NumericalError, match="quadrature limits"):
+                adaptive_simpson(ones, b, a, 1e-6)
+        assert calls == []
+
+    def test_limits_at_half_the_largest_double_still_integrate(self):
+        value, _ = adaptive_simpson(np.ones_like, -8.98e307, 8.98e307, 1e-6)
+        assert value == 2.0 * 8.98e307
+
+    def test_lp_norm_on_overflowing_domain_fails_fast(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="quadrature limits"):
+                lp_norm(make_function("const", (1.0,), 1e308), 2.0)
 
     def test_bad_tolerance_rejected(self):
         with pytest.raises(NumericalError):
