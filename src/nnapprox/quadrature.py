@@ -42,7 +42,7 @@ def adaptive_simpson(
     """
     if tol <= 0.0:
         raise NumericalError("quadrature tolerance must be positive")
-    a, b = float(a), float(b)
+    a, b = float(a), float(b)   # Python floats overflow to inf without a warning
     if not (math.isfinite(2.0 * a) and math.isfinite(2.0 * b)):
         raise NumericalError(
             f"quadrature limits [{a!r}, {b!r}] must be finite and at most half the "
