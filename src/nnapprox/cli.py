@@ -26,7 +26,7 @@ from .study import (
     records_table,
     stability_suite,
 )
-from .targets import make_function
+from .targets import FunctionSpec, make_function
 
 __all__ = ["RunConfig", "parse_config", "run_subcommand", "main", "entry"]
 
@@ -172,10 +172,9 @@ def _validate(cfg: RunConfig) -> RunConfig:
             raise ParameterError(
                 f"{f.name} must be one of {', '.join(choices)}, got {getattr(cfg, f.name)!r}"
             )
-    # Reuse the owning modules' validators so messages name the offending key.
-    ActivationParams(cfg.q, cfg.theta, cfg.alpha, cfg.scale, cfg.mode)
-    OperatorConfig(cfg.n, cfg.truncation_eps, cfg.eval_mode)
-    make_function(cfg.fn, cfg.fn_params, cfg.half_width, cfg.extension)
+    # Build through the owning modules so their messages name the offending key.
+    for build in (_density, _operator, _target):
+        build(cfg)
     if cfg.grid_points < 2:
         raise ParameterError(f"grid_points must be >= 2, got {cfg.grid_points}")
     if cfg.w_radius <= 0.0:
@@ -211,100 +210,90 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _build_density(cfg: RunConfig) -> SymmetrizedDensity:
-    return SymmetrizedDensity(
-        ActivationParams(cfg.q, cfg.theta, cfg.alpha, cfg.scale, cfg.mode)
-    )
+def _density(cfg: RunConfig) -> SymmetrizedDensity:
+    return SymmetrizedDensity(ActivationParams(cfg.q, cfg.theta, cfg.alpha, cfg.scale, cfg.mode))
 
 
-def _run_density(cfg: RunConfig, path: str) -> str:
-    d = _build_density(cfg)
+def _operator(cfg: RunConfig) -> OperatorConfig:
+    return OperatorConfig(cfg.n, cfg.truncation_eps, cfg.eval_mode)
+
+
+def _target(cfg: RunConfig) -> FunctionSpec:
+    return make_function(cfg.fn, cfg.fn_params, cfg.half_width, cfg.extension)
+
+
+def _run_density(cfg: RunConfig):
+    d = _density(cfg)
     xs = np.linspace(-cfg.w_radius, cfg.w_radius, cfg.grid_points)
     ws = d.value(xs)
     moments = [d.continuous_moment(k, 1e-8) for k in (0, 1, 2)]
-    _write(path, format_table(cfg.format, {
+    tables = {
         "samples": (("x", "w"), list(zip(xs.tolist(), ws.tolist()))),
         "moments": (("order", "value", "error_estimate"),
                     [(m.order, m.value, m.quadrature_error_estimate) for m in moments]),
-    }))
-    summary = f"density: moment order 0 = {moments[0].value:.6g}, wrote {path}"
-    if cfg.mode == "literal":
-        summary += (
-            "  [warning: the literal kernel integrates to ~0, not 1; "
-            "use --mode sigmoid for a normalized kernel]"
-        )
-    return summary
+    }
+    return tables, None, f"density: moment order 0 = {moments[0].value:.6g}"
 
 
-def _run_approx(cfg: RunConfig, path: str) -> str:
-    d = _build_density(cfg)
-    f = make_function(cfg.fn, cfg.fn_params, cfg.half_width, cfg.extension)
-    op = OperatorConfig(cfg.n, cfg.truncation_eps, cfg.eval_mode)
+def _run_approx(cfg: RunConfig):
+    f = _target(cfg)
     xs = np.linspace(-cfg.half_width, cfg.half_width, cfg.grid_points)
     target = f(xs)
-    approx = approximate_grid(op, d, f, xs)
+    approx = approximate_grid(_operator(cfg), _density(cfg), f, xs)
     err = np.abs(approx - target)
     rows = list(zip(xs.tolist(), target.tolist(), approx.tolist(), err.tolist()))
-    _write(path, format_table(cfg.format, {None: (("x", "target", "operator", "abs_error"), rows)}))
-    summary = f"approx: n={cfg.n} max |error| = {float(err.max()):.6g}, wrote {path}"
-    if cfg.mode == "literal":
-        summary += "  [warning: literal kernel output is not normalized]"
-    return summary
+    return ({None: (("x", "target", "operator", "abs_error"), rows)}, None,
+            f"approx: n={cfg.n} max |error| = {float(err.max()):.6g}")
 
 
-def _run_moduli(cfg: RunConfig, path: str) -> str:
-    f = make_function(cfg.fn, cfg.fn_params, cfg.half_width, cfg.extension)
+def _run_moduli(cfg: RunConfig):
+    f = _target(cfg)
     t_list = cfg.t_list if cfg.t_list is not None else tuple(1.0 / n for n in cfg.n_list)
-    rows = [
-        (t, modulus(f, t, t / 4.0).value, second_modulus(f, t, t / 4.0).value) for t in t_list
-    ]
-    _write(path, format_table(cfg.format, {None: (("t", "modulus", "second_modulus"), rows)}))
-    return f"moduli: {len(rows)} widths for fn={cfg.fn}, wrote {path}"
+    rows = [(t, modulus(f, t, t / 4.0).value, second_modulus(f, t, t / 4.0).value) for t in t_list]
+    return ({None: (("t", "modulus", "second_modulus"), rows)}, None,
+            f"moduli: {len(rows)} widths for fn={cfg.fn}")
 
 
-def _run_converge(cfg: RunConfig, path: str) -> str:
-    d = _build_density(cfg)
-    f = make_function(cfg.fn, cfg.fn_params, cfg.half_width, cfg.extension)
-    template = OperatorConfig(cfg.n_list[0], cfg.truncation_eps, cfg.eval_mode)
+def _run_converge(cfg: RunConfig):
     inner = 0.8 * cfg.half_width
     grid = np.linspace(-inner, inner, cfg.grid_points)
-    records = convergence_sweep(f, d, template, cfg.n_list, grid)
+    # The sweep takes only the tolerance and mode from the operator template.
+    records = convergence_sweep(_target(cfg), _density(cfg), _operator(cfg), cfg.n_list, grid)
     try:
         fit = fit_loglog_slope(records)
     except InputError:
         fit = None
-    _write(path, format_table(cfg.format, *records_table(records, fit, cfg.timed_output)))
-    if fit is None:
-        return f"converge: {len(records)} rows, no rate fit (errors at floor), wrote {path}"
-    return (
-        f"converge: fitted slope = {fit.slope:.4f}, r2 = {fit.r_squared:.4f}, wrote {path}"
+    summary = (
+        f"converge: {len(records)} rows, no rate fit (errors at floor)" if fit is None
+        else f"converge: fitted slope = {fit.slope:.4f}, r2 = {fit.r_squared:.4f}"
     )
+    return (*records_table(records, fit, cfg.timed_output), summary)
 
 
-def _run_stability(cfg: RunConfig, path: str) -> str:
-    d = _build_density(cfg)
-    op = OperatorConfig(cfg.n, cfg.truncation_eps, cfg.eval_mode)
-    pairs = [
-        (
-            make_function("pwlin", (float(2 * i),), cfg.half_width, cfg.extension),
-            make_function("pwlin", (float(2 * i + 1),), cfg.half_width, cfg.extension),
-        )
-        for i in range(_STABILITY_PAIRS)
-    ]
+def _run_stability(cfg: RunConfig):
+    pairs = [tuple(make_function("pwlin", (float(s),), cfg.half_width, cfg.extension)
+                   for s in (2 * i, 2 * i + 1)) for i in range(_STABILITY_PAIRS)]
     grid = np.linspace(-cfg.half_width, cfg.half_width, cfg.grid_points)
-    results = stability_suite(d, op, pairs, grid)
+    results = stability_suite(_density(cfg), _operator(cfg), pairs, grid)
     rows = [(i, gap, bound, ok) for i, (gap, bound, ok) in enumerate(results)]
-    _write(path, format_table(cfg.format, {None: (("pair", "gap", "bound", "pass"), rows)}))
     passed = sum(1 for _, _, ok in results if ok)
-    return f"stability: {passed}/{len(results)} pass, wrote {path}"
+    return ({None: (("pair", "gap", "bound", "pass"), rows)}, None,
+            f"stability: {passed}/{len(results)} pass")
 
 
+# subcommand -> runner(cfg) returning (tables, footer, summary) for format_table
 _RUNNERS = {
     "density": _run_density,
     "approx": _run_approx,
     "moduli": _run_moduli,
     "converge": _run_converge,
     "stability": _run_stability,
+}
+# Appended to the summary of these subcommands in literal mode.
+_LITERAL_WARNINGS = {
+    "density": "the literal kernel integrates to ~0, not 1; use --mode sigmoid for a "
+               "normalized kernel",
+    "approx": "literal kernel output is not normalized",
 }
 
 
@@ -313,8 +302,12 @@ def run_subcommand(name: str, cfg: RunConfig) -> int:
     if name not in _RUNNERS:
         raise InputError(f"unknown subcommand {name!r}; expected one of {SUBCOMMANDS}")
     path = _out_path(name, cfg)
-    summary = _RUNNERS[name](cfg, path)
-    print(summary)
+    tables, footer, summary = _RUNNERS[name](cfg)
+    _write(path, format_table(cfg.format, tables, footer))
+    line = f"{summary}, wrote {path}"
+    if cfg.mode == "literal" and name in _LITERAL_WARNINGS:
+        line += f"  [warning: {_LITERAL_WARNINGS[name]}]"
+    print(line)
     return 0
 
 

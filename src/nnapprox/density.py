@@ -158,8 +158,9 @@ class SymmetrizedDensity:
 
     # -- tail radii -----------------------------------------------------------
 
-    def _radius(self, power: int, tol: float) -> int:
-        """Radius K with sum_{|k-u|>K} |k-u|**p |W(u-k)| <= tol for every u.
+    def _radius(self, power: int, tol: float, cap: float = math.inf) -> int:
+        """Radius K with sum_{|k-u|>K} |k-u|**p |W(u-k)| <= tol for every u, or ``cap``
+        if that is smaller.
 
         Beyond |x| = 1, |W(x)| is the mean of |phi'| over (x-1, x+1), with
         ``|phi'(t)| <= rate * alpha * |t|**(alpha-1) * exp(-rate * |t|**alpha)``,
@@ -193,6 +194,7 @@ class SymmetrizedDensity:
             r = max(1.0 + (y / rate) ** (1.0 / alpha), 2.0)
         except (OverflowError, ZeroDivisionError, ValueError):
             r = math.inf
+        r = min(r, cap)
         if not r <= _MAX_RADIUS:
             raise NumericalError(
                 f"order-{power} tail radius at tolerance {tol:.3e} exceeds 2**52 "
@@ -200,9 +202,10 @@ class SymmetrizedDensity:
             )
         return math.ceil(r)
 
-    def _partition_radius(self, eps: float) -> int:
-        """Radius of the translate-sum window at tolerance ``eps``, floored at 2**-53."""
-        return self._radius(0, min(eps, _UNIT_ROUNDOFF))
+    def _partition_radius(self, eps: float, cap: float = math.inf) -> int:
+        """Radius of the translate-sum window at tolerance ``eps``, floored at 2**-53,
+        and at most ``cap`` (a window over a finite lattice needs no wider radius)."""
+        return self._radius(0, min(eps, _UNIT_ROUNDOFF), cap)
 
     def tail_cutoff(self, eps: float) -> float:
         """Larger of the translate-sum and second-moment radii at ``min(eps, 2**-53)``."""

@@ -26,6 +26,7 @@ __all__ = [
 ]
 
 _MAX_GRID_POINTS = 1 << 26     # 512 MiB of float64 samples
+_PAIRS = 1 << 15               # grid pairs per holder_constant temporary (256 KiB)
 
 
 @dataclass(frozen=True)
@@ -75,9 +76,7 @@ def modulus(f: FunctionSpec, t: float, grid_step: float) -> ModulusEstimate:
     _check_widths(t, grid_step)
     xs, h = _grid(f, grid_step)
     vals = f(xs)
-    w = _window_steps(t, h, xs.size - 1)
-    if w < 1:
-        return ModulusEstimate(float(t), 0.0, h)
+    w = _window_steps(t, h, xs.size - 1)   # >= 1, since h <= grid_step <= t
     hi = lo = vals
     span = 1
     while 2 * span <= w + 1:
@@ -131,13 +130,14 @@ def holder_constant(f: FunctionSpec, gamma: float, grid_step: float) -> float:
     xs, _ = _grid(f, grid_step)
     vals = f(xs)
     best = 0.0
-    chunk = 256
-    for i in range(0, xs.size - 1, chunk):
-        j = slice(i, min(i + chunk, xs.size - 1))
-        dx = xs[None, i + 1:] - xs[j, None]
+    m, i = xs.size - 1, 0
+    while i < m:
+        stop = min(i + max(1, _PAIRS // (m - i)), m)   # about _PAIRS pairs per temporary
+        dx = xs[None, i + 1:] - xs[i:stop, None]
         upper = dx > 0.0
-        dv = np.abs(vals[None, i + 1:] - vals[j, None])
+        dv = np.abs(vals[None, i + 1:] - vals[i:stop, None])
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(upper, dv / np.where(upper, dx, 1.0) ** gamma, 0.0)
         best = max(best, float(ratio.max()))
+        i = stop
     return best

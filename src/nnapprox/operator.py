@@ -40,7 +40,7 @@ __all__ = [
 ]
 
 _EVAL_MODES = ("raw", "renormalized")
-_CHUNK = 1 << 17           # kernel weights per temporary matrix; bounds memory for any n*a
+_CHUNK = 1 << 14           # kernel weights per temporary matrix; bounds memory for any n*a
 _MAX_LATTICE = 2.0**52     # beyond n*a this large, float lattice indices stop being integers
 
 
@@ -113,7 +113,9 @@ def approximate_many(cfg: OperatorConfig, d: SymmetrizedDensity, fs, grid) -> np
     ``(len(fs),) + grid.shape``.  The targets share a half-width, not an extension."""
     pts, a = _checked_grid(cfg, fs, grid)
     k_lo, k_hi = _domain_lattice(cfg.n, a)
-    R = d._partition_radius(cfg.truncation_eps)
+    # From any grid point a radius of k_hi - k_lo + 2 already reaches one lattice
+    # point past both ends of the domain, so a wider one changes no window.
+    R = d._partition_radius(cfg.truncation_eps, k_hi - k_lo + 2)
     width = min(2 * R + 1, k_hi - k_lo + 1)
     cols = min(width, _CHUNK)
     rows = max(1, _CHUNK // cols)
@@ -188,9 +190,9 @@ def stability_gaps(cfg: OperatorConfig, d: SymmetrizedDensity, pairs,
 
     # Outside the domain every sample equals the one just past its edge, so
     # the window is cut to one lattice point beyond each end.
-    R = d._partition_radius(cfg.truncation_eps)
     a = fs[0].half_width
     k_lo, k_hi = _domain_lattice(cfg.n, a)
+    R = d._partition_radius(cfg.truncation_eps, k_hi - k_lo + 2)   # as in approximate_many
     k0 = max(math.ceil(cfg.n * float(np.min(grid)) - R), k_lo - 1)
     k1 = min(math.floor(cfg.n * float(np.max(grid)) + R), k_hi + 1)
     xs = np.arange(k0, k1 + 1, dtype=float) / cfg.n

@@ -74,9 +74,8 @@ def adaptive_simpson(
         if total <= tol:
             return math.fsum((s2 + err / 15.0).tolist()), total
 
+        # total > tol puts the largest error above tol / m, so some interval splits.
         split = abs_err > tol / (2.0 * err.size)
-        if not np.any(split):
-            split = abs_err == abs_err.max()
         if err.size + np.count_nonzero(split) > _MAX_INTERVALS:
             raise NumericalError(
                 f"quadrature interval budget exceeded ({_MAX_INTERVALS}) at "

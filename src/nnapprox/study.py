@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Sequence
 
 import numpy as np
@@ -34,15 +34,6 @@ __all__ = [
     "records_to_json",
 ]
 
-CSV_COLUMNS = (
-    "n",
-    "sup_error",
-    "omega_bound",
-    "omega2_bound",
-    "second_moment_scaled",
-    "wall_time_ms",
-)
-
 # Offsets mod 1 at which the sweep takes the max of the second lattice moment.
 _U_GRID = tuple(np.linspace(0.0, 1.0, 17, endpoint=False))
 _DEFAULT_X_GRID = tuple(np.linspace(-1.0, 1.0, 201))
@@ -60,6 +51,9 @@ class ConvergenceRecord:
     omega2_bound: float
     second_moment_scaled: float
     wall_time_ms: float
+
+
+CSV_COLUMNS = tuple(f.name for f in fields(ConvergenceRecord))
 
 
 @dataclass(frozen=True)

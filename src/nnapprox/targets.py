@@ -7,6 +7,7 @@ parameters, domain, and extension, so configuration round-trips cleanly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -63,83 +64,48 @@ class FunctionSpec:
 
 @dataclass(frozen=True)
 class FunctionRegistryEntry:
-    """Registry row: name, expected parameter count (-1 for variadic), constructor."""
+    """Registry row: name, parameter count (-1 for variadic), make_function bound to it."""
 
     name: str
     arity: int
     constructor: Callable[..., FunctionSpec]
 
 
-def _spec(name, params, half_width, extension, fn) -> FunctionSpec:
-    return FunctionSpec(name, tuple(float(p) for p in params), float(half_width), extension, fn)
-
-
-def _make_const(params, half_width, extension):
-    c = float(params[0])
-    return _spec("const", params, half_width, extension, lambda x: np.full_like(x, c))
-
-
-def _make_linear(params, half_width, extension):
-    return _spec("linear", params, half_width, extension, lambda x: x.copy())
-
-
-def _make_poly(params, half_width, extension):
-    coeffs = [float(p) for p in params]
-    return _spec(
-        "poly", params, half_width, extension,
-        lambda x: np.polynomial.polynomial.polyval(x, coeffs),
-    )
-
-
-def _make_sin(params, half_width, extension):
-    freq = float(params[0])
-    return _spec("sin", params, half_width, extension, lambda x: np.sin(freq * x))
-
-
-def _make_abs_pow(params, half_width, extension):
-    gamma = float(params[0])
+def _abs_pow(params, half_width):
+    (gamma,) = params
     if not 0.0 < gamma <= 1.0:
         raise ParameterError(f"abs_pow exponent must lie in (0, 1], got {gamma}")
-    return _spec("abs_pow", params, half_width, extension, lambda x: np.abs(x) ** gamma)
+    return lambda x: np.abs(x) ** gamma
 
 
-def _make_runge(params, half_width, extension):
-    return _spec("runge", params, half_width, extension, lambda x: 1.0 / (1.0 + 25.0 * x * x))
-
-
-def _make_osc(params, half_width, extension):
-    freq = float(params[0])
-    return _spec("osc", params, half_width, extension, lambda x: np.sin(freq * x) * x)
-
-
-def _make_pwlin(params, half_width, extension):
-    seed = float(params[0])
-    if seed != int(seed) or seed < 0:
+def _pwlin(params, half_width):
+    (seed,) = params
+    if not seed.is_integer() or seed < 0:   # False for inf and NaN
         raise ParameterError(f"pwlin seed must be a nonnegative integer, got {seed}")
     rng = np.random.default_rng(int(seed))
     xs = np.linspace(-half_width, half_width, 9)
     ys = rng.uniform(-1.0, 1.0, xs.size)
-    return _spec("pwlin", params, half_width, extension, lambda x: np.interp(x, xs, ys))
+    return lambda x: np.interp(x, xs, ys)
 
 
 _BUILTINS: dict[str, tuple[int, tuple[float, ...], Callable]] = {
-    # name: (arity, default parameters, constructor)
-    "const": (1, (1.0,), _make_const),
-    "linear": (0, (), _make_linear),
-    "poly": (-1, (0.0, 1.0, -0.25), _make_poly),
-    "sin": (1, (math.pi / 2.0,), _make_sin),
-    "abs_pow": (1, (0.5,), _make_abs_pow),
-    "runge": (0, (), _make_runge),
-    "osc": (1, (8.0,), _make_osc),
-    "pwlin": (1, (0.0,), _make_pwlin),
+    # name: (arity, default parameters, build(params, half_width) -> vectorized callable)
+    "const": (1, (1.0,), lambda p, a: lambda x: np.full_like(x, p[0])),
+    "linear": (0, (), lambda p, a: np.copy),
+    "poly": (-1, (0.0, 1.0, -0.25), lambda p, a: lambda x: np.polynomial.polynomial.polyval(x, p)),
+    "sin": (1, (math.pi / 2.0,), lambda p, a: lambda x: np.sin(p[0] * x)),
+    "abs_pow": (1, (0.5,), _abs_pow),
+    "runge": (0, (), lambda p, a: lambda x: 1.0 / (1.0 + 25.0 * x * x)),
+    "osc": (1, (8.0,), lambda p, a: lambda x: np.sin(p[0] * x) * x),
+    "pwlin": (1, (0.0,), _pwlin),
 }
 
 
 def builtin_functions() -> list[FunctionRegistryEntry]:
     """All built-in target constructors, each valid with its documented defaults."""
     return [
-        FunctionRegistryEntry(name, arity, ctor)
-        for name, (arity, _, ctor) in _BUILTINS.items()
+        FunctionRegistryEntry(name, arity, functools.partial(make_function, name))
+        for name, (arity, _, _) in _BUILTINS.items()
     ]
 
 
@@ -153,7 +119,7 @@ def make_function(
     if name not in _BUILTINS:
         known = ", ".join(sorted(_BUILTINS))
         raise InputError(f"unknown function {name!r}; available: {known}")
-    arity, defaults, ctor = _BUILTINS[name]
+    arity, defaults, build = _BUILTINS[name]
     params = tuple(defaults if parameters is None else parameters)
     if arity >= 0 and len(params) != arity:
         raise InputError(
@@ -161,4 +127,6 @@ def make_function(
         )
     if arity == -1 and len(params) == 0:
         raise InputError(f"{name} expects at least one parameter")
-    return ctor(params, half_width, extension)
+    params = tuple(float(p) for p in params)
+    half_width = float(half_width)
+    return FunctionSpec(name, params, half_width, extension, build(params, half_width))

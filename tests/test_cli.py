@@ -191,6 +191,15 @@ class TestValidationExits:
                    for u in np.linspace(0.0, 1.0, 17, endpoint=False))
         assert [float(row[4]) for row in rows] == [want] * 3
 
+    @pytest.mark.parametrize("subcommand", ["converge", "stability"])
+    def test_radius_past_the_domain_runs(self, subcommand, tmp_path, capsys):
+        # The alpha = 0.1 partition radius exceeds 2**52; the operator windows
+        # cover the whole domain well before that (approx: test_operator_oracle).
+        out = tmp_path / "o.csv"
+        assert main([subcommand, "--alpha", "0.1", "--grid-points", "21", "--n-list", "8,16,32",
+                     "--out", str(out)]) == 0
+        assert "nan" not in out.read_text() + capsys.readouterr().out
+
     @pytest.mark.parametrize("subcommand", ["approx", "converge", "stability", "density"])
     def test_huge_rate_runs_without_nan(self, subcommand, tmp_path, capsys):
         out = tmp_path / "o.csv"

@@ -375,6 +375,21 @@ class TestTailCutoff:
         with pytest.raises(InputError):
             default_density.tail_cutoff(0.0)
 
+    def test_cap_bounds_the_radius_and_float_windows_still_refuse(self, default_density):
+        # The operator caps the radius at its lattice; the float windows of
+        # partition_sum and tail_cutoff keep the 2**52 limit.
+        d = SymmetrizedDensity(ActivationParams(2.0, 1.0, 0.1))
+        assert d._partition_radius(1e-10, 131) == 131
+        assert d._radius(0, 2.0**-53, 2**52) == 2**52
+        for call in (lambda: d.partition_sum(0.3, 1e-10), lambda: d.tail_cutoff(1e-10),
+                     lambda: d._partition_radius(1e-10)):
+            with pytest.raises(NumericalError, match="exceeds 2\\*\\*52"):
+                call()
+        # Below the cap the radius is the uncapped one.
+        radius = default_density._partition_radius(1e-10)
+        assert default_density._partition_radius(1e-10, radius) == radius
+        assert default_density._partition_radius(1e-10, 10**6) == radius
+
 
 # The heavy kernels are checked at a looser tolerance to keep the brute-force
 # sums affordable; the radius formula is the same at every tolerance.

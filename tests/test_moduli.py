@@ -1,6 +1,7 @@
 """Moduli, norms, and Hölder constants against brute-force and closed-form oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -244,3 +245,24 @@ class TestHolderConstant:
     def test_bad_exponent_rejected(self):
         with pytest.raises(InputError):
             holder_constant(make_function("sin"), 0.0, 0.01)
+
+    @pytest.mark.parametrize("gamma", [0.3, 1.0])
+    def test_equals_all_pairs_maximum(self, gamma):
+        # 1501 points take several row blocks of different heights.
+        f = make_function("pwlin", (3.0,), 1.5)
+        xs = np.linspace(-1.5, 1.5, 1501)
+        vals = f(xs)
+        i, j = np.triu_indices(xs.size, 1)
+        want = float(np.max(np.abs(vals[j] - vals[i]) / (xs[j] - xs[i]) ** gamma))
+        assert holder_constant(f, gamma, 3.0 / 1500) == want
+
+    def test_memory_stays_bounded(self):
+        f = make_function("sin", (5.0,))
+        tracemalloc.start()
+        try:
+            holder_constant(f, 1.0, 2.0 / 20000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Two float grids of 20001 points are 0.32 MB; 256-row blocks took 199 MB.
+        assert peak < 4e6

@@ -74,7 +74,7 @@ def test_each_row_equals_its_one_target_call(densities, kernel, picks, eval_mode
 def test_shuffled_grid_over_several_chunks(default_density, rng):
     fs = _targets([(0, "clamp"), (1, "none"), (3, "zero"), (2, "clamp")], 1.0)
     cfg = OperatorConfig(512)
-    grid = np.linspace(-1.0, 1.0, 2001)   # about four chunks of 257-term windows
+    grid = np.linspace(-1.0, 1.0, 2001)   # about 32 chunks of 257-term windows
     perm = rng.permutation(grid.size)
     ordered = _assert_rows_match_single_calls(cfg, default_density, fs, grid)
     shuffled = _assert_rows_match_single_calls(cfg, default_density, fs, grid[perm])

@@ -17,11 +17,13 @@ from hypothesis import strategies as st
 from nnapprox import (
     ActivationParams,
     FunctionSpec,
+    NumericalError,
     OperatorConfig,
     SymmetrizedDensity,
     approximate,
     approximate_grid,
     make_function,
+    stability_gaps,
 )
 from nnapprox.cli import main
 
@@ -125,6 +127,7 @@ def test_formerly_refused_kernels_match_brute_force(densities, kernel):
 @pytest.mark.parametrize("flags", [
     ["--q", "1.1", "--theta", "0.5", "--alpha", "0.5"],
     ["--alpha", "0.3"],
+    ["--alpha", "0.1"],
 ])
 def test_formerly_refused_approx_runs(tmp_path, capsys, flags):
     out = tmp_path / "a.csv"
@@ -140,7 +143,7 @@ def test_formerly_refused_approx_runs(tmp_path, capsys, flags):
 def test_shuffled_grid_over_several_chunks_is_bit_identical(default_density, rng):
     f = make_function("runge")
     cfg = OperatorConfig(512)
-    grid = np.linspace(-1.0, 1.0, 2001)   # about four chunks of 257-term windows
+    grid = np.linspace(-1.0, 1.0, 2001)   # about 32 chunks of 257-term windows
     perm = rng.permutation(grid.size)
     ordered = approximate_grid(cfg, default_density, f, grid)
     shuffled = approximate_grid(cfg, default_density, f, grid[perm])
@@ -159,3 +162,42 @@ def test_window_wider_than_one_chunk_matches_brute_force(densities):
     radius = d._partition_radius(1e-10)
     want = _reference(d.params, radius, n, f.fn, 1.0, "clamp", "renormalized", 0.3)
     assert got[0] == pytest.approx(want, abs=TOL)
+
+
+@pytest.mark.parametrize("extension,eval_mode", [
+    ("none", "renormalized"), ("none", "raw"), ("zero", "renormalized"), ("zero", "raw"),
+])
+def test_radius_past_the_domain_matches_whole_domain_sum(extension, eval_mode):
+    # At alpha = 0.1 the partition radius exceeds 2**52, but every window
+    # already spans the whole 129-point domain, so the operator caps the
+    # radius there and sums every in-domain term.
+    p = ActivationParams(2.0, 1.0, 0.1)
+    d = SymmetrizedDensity(p)
+    with pytest.raises(NumericalError, match="exceeds 2\\*\\*52"):
+        d._partition_radius(1e-10)
+    n, fn = 64, TARGETS["ramp"]
+    f = FunctionSpec("ramp", (), 1.0, extension, fn=fn)
+    grid = np.linspace(-1.0, 1.0, 17)
+    got = approximate_grid(OperatorConfig(n, eval_mode=eval_mode), d, f, grid)
+    k = np.arange(-n, n + 1, dtype=float)
+    want = []
+    for x in grid:
+        w = _kernel(p, n * x - k)
+        raw = float(np.sum(w * fn(k / n)))
+        # Renormalized "none" divides by the in-domain mass; "zero" by the
+        # mass of every translate, which is 1 in sigmoid mode.
+        want.append(raw / float(np.sum(w)) if (extension, eval_mode) == ("none", "renormalized")
+                    else raw)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=TOL)
+
+
+def test_stability_bound_past_the_domain_covers_every_sample():
+    d = SymmetrizedDensity(ActivationParams(2.0, 1.0, 0.1))
+    n = 64
+    pairs = [(make_function("pwlin", (float(2 * i),)), make_function("pwlin", (float(2 * i + 1),)))
+             for i in range(5)]
+    xs = np.arange(-n, n + 1) / n
+    for (gap, bound), (f, g) in zip(stability_gaps(OperatorConfig(n), d, pairs, [0.0, 0.5]),
+                                    pairs):
+        assert bound == float(np.max(np.abs(f(xs) - g(xs))))
+        assert gap <= bound + 1e-10

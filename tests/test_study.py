@@ -1,5 +1,6 @@
 """Sweep orchestration, rate fitting, second-moment uniformity, serialization."""
 
+import dataclasses
 import json
 import math
 
@@ -21,6 +22,8 @@ from nnapprox import (
     second_moment_uniformity,
     stability_suite,
 )
+from nnapprox.cli import main
+from nnapprox.study import CSV_COLUMNS
 
 
 def synthetic_records(err_of_n, ns=(8, 16, 32, 64)):
@@ -167,6 +170,13 @@ class TestSerialization:
         assert len(lines) == 1 + len(recs) + 1
         footer = json.loads(lines[-1].lstrip("# "))
         assert footer == {"slope": -1.0, "intercept": 0.0, "r_squared": 1.0}
+
+    def test_columns_are_the_record_fields_and_the_cli_header(self, tmp_path, capsys):
+        assert CSV_COLUMNS == tuple(f.name for f in dataclasses.fields(ConvergenceRecord))
+        out = tmp_path / "sweep.csv"
+        assert main(["converge", "--n-list", "8,16,32", "--grid-points", "21",
+                     "--out", str(out)]) == 0
+        assert out.read_text().split("\n")[0] == ",".join(CSV_COLUMNS)
 
     def test_csv_round_trip_precision(self):
         recs = [ConvergenceRecord(8, 1.0 / 3.0, 0.1, 0.01, 7.180762818478418, 3.25)]

@@ -11,6 +11,7 @@ from nnapprox import (
     builtin_functions,
     make_function,
 )
+from nnapprox.targets import _BUILTINS
 
 
 class TestRegistry:
@@ -79,6 +80,12 @@ class TestBuiltins:
         with pytest.raises(ParameterError):
             make_function("pwlin", (1.5,))
 
+    @pytest.mark.parametrize("seed", [-1.0, float("inf"), float("nan")])
+    def test_pwlin_seed_outside_the_integers_rejected(self, seed):
+        # inf and nan used to escape as a bare OverflowError and ValueError.
+        with pytest.raises(ParameterError):
+            make_function("pwlin", (seed,))
+
 
 class TestFunctionSpec:
     def test_requires_callable(self):
@@ -123,3 +130,61 @@ class TestFunctionSpec:
         f = FunctionSpec("bad", (), 1.0, "clamp", fn=fn)
         with pytest.raises(DomainError):
             f(np.array([0.0, 0.25, 0.75]))
+
+
+# The built-ins' values at default and non-default parameters, as explicit
+# formulas; the outputs must match them bit for bit.
+_X = np.linspace(-1.0, 1.0, 41)
+_A = 2.5
+_X_WIDE = np.linspace(-_A, _A, 41)
+
+
+def _pwlin_formula(seed, a, x):
+    ys = np.random.default_rng(seed).uniform(-1.0, 1.0, 9)
+    return np.interp(x, np.linspace(-a, a, 9), ys)
+
+
+PINNED = {
+    "const": [(None, lambda x: np.full(x.shape, 1.0)),
+              ((-2.5,), lambda x: np.full(x.shape, -2.5))],
+    "linear": [(None, lambda x: x)],
+    "poly": [(None, lambda x: 0.0 + (1.0 + -0.25 * x) * x),
+             ((1.0, -2.0, 0.5, 3.0), lambda x: 1.0 + (-2.0 + (0.5 + 3.0 * x) * x) * x)],
+    "sin": [(None, lambda x: np.sin(np.pi / 2.0 * x)), ((3.0,), lambda x: np.sin(3.0 * x))],
+    "abs_pow": [(None, lambda x: np.abs(x) ** 0.5), ((0.3,), lambda x: np.abs(x) ** 0.3)],
+    "runge": [(None, lambda x: 1.0 / (1.0 + 25.0 * x * x))],
+    "osc": [(None, lambda x: np.sin(8.0 * x) * x), ((2.5,), lambda x: np.sin(2.5 * x) * x)],
+    "pwlin": [(None, lambda x: _pwlin_formula(0, 1.0, x)),
+              ((11.0,), lambda x: _pwlin_formula(11, 1.0, x))],
+}
+
+
+class TestPinnedBuiltins:
+    def test_every_builtin_is_pinned(self):
+        assert set(PINNED) == {e.name for e in builtin_functions()}
+
+    @pytest.mark.parametrize("name,params,formula", [
+        (name, params, formula) for name, cases in PINNED.items() for params, formula in cases
+    ])
+    def test_values_match_formula_bit_for_bit(self, name, params, formula):
+        f = make_function(name, params)
+        np.testing.assert_array_equal(f(_X), formula(_X))
+        assert f(0.375) == formula(np.array(0.375))
+
+    def test_pwlin_knots_span_the_domain(self):
+        f = make_function("pwlin", (4.0,), _A)
+        np.testing.assert_array_equal(f(_X_WIDE), _pwlin_formula(4, _A, _X_WIDE))
+
+    def test_parameters_stored_as_floats(self):
+        f = make_function("poly", (1, 2), 3)
+        assert f.parameters == (1.0, 2.0) and all(type(p) is float for p in f.parameters)
+        assert type(f.half_width) is float
+
+    @pytest.mark.parametrize("entry", builtin_functions(), ids=lambda e: e.name)
+    @pytest.mark.parametrize("extension", ["clamp", "zero", "none"])
+    def test_constructor_equals_make_function(self, entry, extension):
+        _, defaults, _ = _BUILTINS[entry.name]
+        got = entry.constructor(defaults, _A, extension)
+        want = make_function(entry.name, defaults, _A, extension)
+        assert got == want
+        np.testing.assert_array_equal(got(_X_WIDE), want(_X_WIDE))
