@@ -134,9 +134,11 @@ class SymmetrizedDensity:
     def _phi(self, x: np.ndarray) -> np.ndarray:
         return _stable_expit(_exponent_argument(self.params, x))
 
-    def _w_raw(self, x: np.ndarray) -> np.ndarray:
-        t1 = _exponent_argument(self.params, x + 1.0)
-        t2 = _exponent_argument(self.params, x - 1.0)
+    def _w_raw(self, right: np.ndarray, left: np.ndarray) -> np.ndarray:
+        """(phi(right) - phi(left)) / 2, the kernel at x from ``right = x + 1`` and
+        ``left = x - 1``: callers form both from their own exact offsets."""
+        t1 = _exponent_argument(self.params, right)
+        t2 = _exponent_argument(self.params, left)
         if self.params.mode == "sigmoid":
             return 0.5 * _expit_diff(t1, t2)
         hi = np.maximum(t1, t2)
@@ -149,7 +151,7 @@ class SymmetrizedDensity:
         arr = np.asarray(x, dtype=float)
         if not np.all(np.isfinite(arr)):
             raise InputError("kernel input must be finite")
-        out = self._w_raw(arr)
+        out = self._w_raw(arr + 1.0, arr - 1.0)
         if np.ndim(x) == 0:
             return float(out)
         return out

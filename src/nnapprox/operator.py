@@ -128,7 +128,9 @@ def approximate_many(cfg: OperatorConfig, d: SymmetrizedDensity, fs, grid) -> np
         start = np.clip(np.ceil(u - R), k_lo, k_hi - width + 1)
         for j in range(0, width, cols):
             k = start + np.arange(j, min(j + cols, width))
-            w = d._w_raw(u - k)
+            # u - (k - 1) and u - (k + 1) are exact where they lie near phi's cusp
+            # at 0 (Sterbenz); (u - k) + 1 and (u - k) - 1 would round there.
+            w = d._w_raw(u - (k - 1.0), u - (k + 1.0))
             # Sample each target once per distinct lattice point and gather, unless
             # the windows lie so far apart that their span outgrows the matrix.
             k_min, k_max = k[:, 0].min(), k[:, -1].max()

@@ -128,5 +128,6 @@ def make_function(
     if arity == -1 and len(params) == 0:
         raise InputError(f"{name} expects at least one parameter")
     params = tuple(float(p) for p in params)
-    half_width = float(half_width)
+    if not isinstance(half_width, bool):   # FunctionSpec rejects a bool, float() would not
+        half_width = float(half_width)
     return FunctionSpec(name, params, half_width, extension, build(params, half_width))

@@ -324,18 +324,18 @@ class TestDeterminism:
 # change to the numbers or their formatting goes unnoticed.
 GOLDEN = {
     "stability-csv": (["stability"],
-                      "1f90ca9be89ccb7001205838cb7be0f8cf9e12f3361e6aa88ae699fc10138aaa"),
+                      "9b5fe45aea0cd88dc658548cfaa34e646d625ede0354dee67e3abb6275c2e6a0"),
     "stability-json": (["stability", "--format", "json"],
-                       "adb543ce9c3b9d3aa6dd3fce5a0d9648dfdc8f13874c4a3f1ca70d82a2a83ad5"),
+                       "b8b8a0bd9dd401591571bf47cbd44d2b8ed0bdcc6012ffc37cdc2f2e7bb9ea52"),
     "stability-zero": (["stability", "--extension", "zero", "--n", "512", "--grid-points", "1001"],
-                       "1d6308bcb5d26e13d61d1d1c067b2ec3cee567e5893de72018f875cf694ad238"),
+                       "af1881bbe63b13cecc1ab5e3afbdf70468459b48834834674adfe57fc98754a1"),
     "stability-none-raw": (["stability", "--extension", "none", "--eval-mode", "raw"],
-                           "267ce13bc9b2dc2166d995a66281065292c64a129279d230f0e325394b8e4bba"),
+                           "d1785f1d0087b019c30780df37a566ec97bf387fb951f728ecd53c78132952b5"),
     "stability-literal-raw": (["stability", "--alpha", "0.5", "--mode", "literal",
                                "--eval-mode", "raw"],
-                              "fcb0da0a0cd6d1abfd26977cd71bb746bd54b5e25a9adbbbea85988260b2041b"),
-    "approx": (["approx"], "767c28bfd28fa2102ef65e3809f54b817bbd51a124cf2894cae67c9bad98b57b"),
-    "converge": (["converge"], "70fd6e605a3ca7387cb01b7ed6196e64f66b5c8fde9f3cecd0d17b6d33af528f"),
+                              "df39fee0ba1b137db054f09691f0d57457a72c2a239291f532662c0dea1222a2"),
+    "approx": (["approx"], "0d123db2e6480e50be70dd2945fe5b14124265a29f17c86683de8c5963cbee2f"),
+    "converge": (["converge"], "1040443446f66f52acd53410b78379a42165d0e2c40e719ce8f7483a6d65a2a8"),
 }
 
 

@@ -240,7 +240,7 @@ def scipy_moment(p, order):
 def half_line_kernel(p, x):
     """W(x) for x >= 0 from the tail 1 - phi(y) = 1 / (1 + exp(rate y**alpha))."""
     if p.mode == "sigmoid":
-        return oracle_kernel(p, x)
+        return oracle_kernel(p, x + 1.0, x - 1.0)
     # Literal phi is the even tail itself: phi(y) = 1 - phi_sigmoid(|y|).
     return 0.5 * (_upper_tail(p, x + 1.0) - _upper_tail(p, np.abs(x - 1.0)))
 
@@ -406,7 +406,7 @@ def brute_force_tails(p, u, inner, outer, radius, power):
         for start in range(lo, hi + 1, _BLOCK):
             k = np.arange(start, min(start + _BLOCK, hi + 1), dtype=float)
             x = np.abs(k - u)
-            terms = x**power * np.abs(oracle_kernel(p, u - k))
+            terms = x**power * np.abs(oracle_kernel(p, u - (k - 1.0), u - (k + 1.0)))
             wide += float(np.sum(terms))
             narrow += float(np.sum(terms[x > radius]))
     return wide, narrow

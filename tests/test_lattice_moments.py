@@ -99,7 +99,7 @@ def _brute_force(p, u, radius, power):
     parts = []
     for start in range(k0, k1 + 1, _CHUNK):
         k = np.arange(start, min(start + _CHUNK, k1 + 1), dtype=float)
-        parts.append(float(np.sum((k - u) ** power * oracle_kernel(p, u - k))))
+        parts.append(float(np.sum((k - u) ** power * oracle_kernel(p, u - (k - 1.0), u - (k + 1.0)))))
     return math.fsum(parts)
 
 

@@ -1,7 +1,8 @@
 """The operator against an independent brute-force sum, plus order independence.
 
 The reference re-derives the sigmoid kernel from its tail masses,
-``1 - phi(y) = phi(-y) = 1 / (1 + exp(rate * y**alpha))``, and sums every
+``1 - phi(y) = phi(-y) = 1 / (1 + exp(rate * y**alpha))``, at the exact
+arguments ``u - (k - 1)`` and ``u - (k + 1)``, and sums every
 lattice term in a window at least four times as wide as both its own tail
 bound and the operator's partition radius, so it shares neither the
 operator's kernel code nor its closed-form tails.
@@ -9,9 +10,10 @@ operator's kernel code nor its closed-form tails.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nnapprox import (
@@ -43,12 +45,13 @@ def _upper_tail(p: ActivationParams, y: np.ndarray) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(p.rate * y**p.alpha))
 
 
-def _kernel(p: ActivationParams, x: np.ndarray) -> np.ndarray:
-    ax = np.abs(x)
-    out = 0.5 * (_upper_tail(p, np.maximum(ax - 1.0, 0.0)) - _upper_tail(p, ax + 1.0))
-    core = ax < 1.0
-    ac = ax[core]
-    out[core] = 0.5 * (1.0 - _upper_tail(p, 1.0 + ac) - _upper_tail(p, 1.0 - ac))
+def _kernel(p: ActivationParams, right: np.ndarray, left: np.ndarray) -> np.ndarray:
+    """W(x) from ``right = x + 1`` and ``left = x - 1``, formed exactly by the caller."""
+    t_right, t_left = _upper_tail(p, np.abs(right)), _upper_tail(p, np.abs(left))
+    # Both arguments on one side of 0: the one nearer 0 has the larger tail.
+    out = 0.5 * np.abs(t_left - t_right)
+    core = (left < 0.0) & (right > 0.0)
+    out[core] = 0.5 * (1.0 - t_right[core] - t_left[core])
     return out
 
 
@@ -63,7 +66,7 @@ def _reference(p, radius, n, fn, a, extension, eval_mode, x):
         k = np.arange(start, min(start + _BLOCK, k1 + 1), dtype=float)
         xs = k / n
         inside = np.abs(xs) <= a
-        w = _kernel(p, u - k)
+        w = _kernel(p, u - (k - 1.0), u - (k + 1.0))
         if extension == "clamp":
             vals = fn(np.clip(xs, -a, a))
         else:
@@ -90,6 +93,12 @@ def densities():
 
 @pytest.mark.parametrize("kernel", list(KERNELS))
 @settings(max_examples=12, deadline=None)
+# Offsets a few ulp from phi's cusp at 0 (alpha=0.3 and heavy-tail), which the
+# arguments (u - k) + 1 and (u - k) - 1 round away: off by 5.0e-7 and 6.3e-11.
+@example(extension="clamp", eval_mode="raw", target="abs_pow", n=8, a=2.5,
+         xs=[2.9333219416365058e-18])
+@example(extension="clamp", eval_mode="raw", target="abs_pow", n=1, a=2.5,
+         xs=[2.781618351395697e-17])
 @given(
     extension=st.sampled_from(["clamp", "zero", "none"]),
     eval_mode=st.sampled_from(["raw", "renormalized"]),
@@ -108,6 +117,30 @@ def test_matches_brute_force(densities, kernel, extension, eval_mode, target, n,
     radius = d._partition_radius(cfg.truncation_eps)
     want = [_reference(d.params, radius, n, fn, a, extension, eval_mode, x) for x in grid]
     np.testing.assert_allclose(got, want, rtol=0.0, atol=TOL)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.3, 0.1])
+def test_cusp_offset_matches_40_digit_sum(alpha):
+    # u = n x = 4.7e-16 puts the translates k = +-1 a few ulp from phi's cusp at 0,
+    # where rounding (u - k) +- 1 moves the sum by up to 6.3e-7.  Every radius
+    # here spans the 129-point domain, so the operator sums every term the
+    # reference does: the domain's terms and the two clamped tails.
+    p = ActivationParams(2.0, 1.0, alpha)
+    f = make_function("sin")
+    n, x = 64, 7.3e-18
+    got = approximate(OperatorConfig(n, eval_mode="raw"), SymmetrizedDensity(p), f, x)
+    k = np.arange(-n, n + 1)
+    with mpmath.workdps(40):
+        rate, u = mpmath.mpf(p.rate), mpmath.mpf(n * x)
+
+        def phi(t):
+            return 1 / (1 + mpmath.exp(-rate * mpmath.sign(t) * abs(t) ** alpha))
+
+        want = sum(fk * (phi(u - (j - 1)) - phi(u - (j + 1))) / 2
+                   for j, fk in zip(k.tolist(), f(k / n).tolist()))
+        want += f(-1.0) * (phi(-n - 1 - u) + phi(-n - u)) / 2
+        want += f(1.0) * (phi(u - n) + phi(u - n - 1)) / 2
+    assert abs(got - want) <= 1e-16
 
 
 @pytest.mark.parametrize("kernel", ["heavy-tail", "alpha=0.3"])
@@ -182,7 +215,7 @@ def test_radius_past_the_domain_matches_whole_domain_sum(extension, eval_mode):
     k = np.arange(-n, n + 1, dtype=float)
     want = []
     for x in grid:
-        w = _kernel(p, n * x - k)
+        w = _kernel(p, n * x - (k - 1.0), n * x - (k + 1.0))
         raw = float(np.sum(w * fn(k / n)))
         # Renormalized "none" divides by the in-domain mass; "zero" by the
         # mass of every translate, which is 1 in sigmoid mode.

@@ -104,6 +104,8 @@ class TestFunctionSpec:
     def test_bool_half_width_rejected(self, half_width):
         with pytest.raises(ParameterError):
             FunctionSpec("f", (), half_width, "clamp", fn=lambda x: x)
+        with pytest.raises(ParameterError):
+            make_function("sin", half_width=half_width)
 
     @pytest.mark.parametrize("half_width", [float("inf"), float("nan")])
     def test_non_finite_half_width_rejected(self, half_width):
