@@ -7,10 +7,10 @@ import numpy as np
 
 from nnapprox import ActivationParams, SymmetrizedDensity, activation_value
 
-# The activation family has four knobs: a base q, a steepness theta, a
-# fractional exponent alpha, and an auxiliary scale.  In sigmoid mode the
-# profile rises from 0 to 1; alpha < 1 flattens the transition away from the
-# origin while sharpening it near zero.
+# The activation family has three knobs: a base q, a steepness theta and a
+# fractional exponent alpha.  In sigmoid mode the profile rises from 0 to 1;
+# alpha < 1 flattens the transition away from the origin while sharpening it
+# near zero.
 for alpha in (1.0, 0.5, 0.3):
     p = ActivationParams(q=2.0, theta=1.0, alpha=alpha, mode="sigmoid")
     xs = np.array([-8.0, -1.0, 0.0, 1.0, 8.0])

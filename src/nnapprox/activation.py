@@ -2,9 +2,9 @@
 
 Two evaluation modes are provided:
 
-* ``literal``: an even bump-style profile ``1 / (1 + q**(scale*theta*|x|**alpha))``
+* ``literal``: an even bump-style profile ``1 / (1 + q**(theta*|x|**alpha))``
   that decays to 0 in both directions.
-* ``sigmoid``: the signed variant ``1 / (1 + q**(-scale*theta*sign(x)*|x|**alpha))``,
+* ``sigmoid``: the signed variant ``1 / (1 + q**(-theta*sign(x)*|x|**alpha))``,
   monotone nondecreasing from 0 to 1.
 
 Bases 0 < q < 1 are mapped internally to 1/q with the exponent flipped so that
@@ -34,21 +34,19 @@ _HI = np.nextafter(1.0, 0.0)
 class ActivationParams:
     """Parameter tuple for the fractional activation profile.
 
-    q is the deformation base (positive, not 1), theta the steepness,
-    alpha the fractional exponent in (0, 1], and scale an auxiliary
-    positive factor multiplying theta.
+    q is the deformation base (positive, not 1), theta the steepness and
+    alpha the fractional exponent in (0, 1].
     """
 
     q: float
     theta: float
     alpha: float
-    scale: float = 1.0
     mode: str = "sigmoid"
 
     def __post_init__(self) -> None:
-        for name in ("q", "theta", "alpha", "scale"):
+        for name in ("q", "theta", "alpha"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v)):
+            if isinstance(v, bool) or not (isinstance(v, (int, float)) and math.isfinite(v)):
                 raise ParameterError(f"{name} must be a finite real, got {v!r}")
         if self.q <= 0.0 or self.q == 1.0:
             raise ParameterError(f"q must be positive and != 1, got {self.q}")
@@ -56,20 +54,18 @@ class ActivationParams:
             raise ParameterError(f"theta must be positive, got {self.theta}")
         if not 0.0 < self.alpha <= 1.0:
             raise ParameterError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if self.scale <= 0.0:
-            raise ParameterError(f"scale must be positive, got {self.scale}")
         if self.mode not in _MODES:
             raise ParameterError(f"mode must be one of {_MODES}, got {self.mode!r}")
         if not 0.0 < self.rate < math.inf:
             raise ParameterError(
-                f"rate = scale * theta * |ln q| must lie in (0, inf), got {self.rate} "
-                f"from q={self.q}, theta={self.theta}, scale={self.scale}"
+                f"rate = theta * |ln q| must lie in (0, inf), got {self.rate} "
+                f"from q={self.q}, theta={self.theta}"
             )
 
     @property
     def rate(self) -> float:
-        """Effective exponent multiplier scale * theta * |ln q|."""
-        return self.scale * self.theta * abs(math.log(self.q))
+        """Effective exponent multiplier theta * |ln q|."""
+        return self.theta * abs(math.log(self.q))
 
 
 def _stable_expit(t: np.ndarray) -> np.ndarray:

@@ -14,10 +14,10 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .activation import ActivationParams
+from .activation import _MODES, ActivationParams
 from .density import SymmetrizedDensity
 from .errors import InputError, NumericalError, ParameterError
-from .operator import OperatorConfig, approximate_grid
+from .operator import _EVAL_MODES, OperatorConfig, approximate_grid
 from .moduli import modulus, second_modulus
 from .study import (
     convergence_sweep,
@@ -26,7 +26,7 @@ from .study import (
     records_table,
     stability_suite,
 )
-from .targets import FunctionSpec, make_function
+from .targets import _EXTENSIONS, FunctionSpec, make_function
 
 __all__ = ["RunConfig", "parse_config", "run_subcommand", "main", "entry"]
 
@@ -51,13 +51,11 @@ class RunConfig:
     q: float = _opt(2.0, "deformation base (> 0, != 1)")
     theta: float = _opt(1.0, "steepness (> 0)")
     alpha: float = _opt(1.0, "fractional exponent in (0, 1]")
-    scale: float = _opt(1.0, "auxiliary scale on theta (> 0)")
-    mode: str = _opt("sigmoid", choices=("literal", "sigmoid"))
+    mode: str = _opt("sigmoid", choices=_MODES)
     n: int = _opt(64, "sampling density")
     n_list: tuple[int, ...] = _opt((8, 16, 32, 64, 128, 256, 512), "comma-separated n sweep")
-    truncation_eps: float = _opt(1e-10)
-    eval_mode: str = _opt("renormalized", choices=("raw", "renormalized"))
-    extension: str = _opt("clamp", choices=("clamp", "zero", "none"))
+    eval_mode: str = _opt("renormalized", choices=_EVAL_MODES)
+    extension: str = _opt("clamp", choices=_EXTENSIONS)
     fn: str = _opt("sin", "target function name")
     fn_params: tuple[float, ...] | None = _opt(None, "comma-separated target parameters")
     half_width: float = _opt(1.0, "domain half-width", flag="--a")
@@ -211,11 +209,11 @@ def _write(path: str, text: str) -> None:
 
 
 def _density(cfg: RunConfig) -> SymmetrizedDensity:
-    return SymmetrizedDensity(ActivationParams(cfg.q, cfg.theta, cfg.alpha, cfg.scale, cfg.mode))
+    return SymmetrizedDensity(ActivationParams(cfg.q, cfg.theta, cfg.alpha, cfg.mode))
 
 
 def _operator(cfg: RunConfig) -> OperatorConfig:
-    return OperatorConfig(cfg.n, cfg.truncation_eps, cfg.eval_mode)
+    return OperatorConfig(cfg.n, eval_mode=cfg.eval_mode)
 
 
 def _target(cfg: RunConfig) -> FunctionSpec:

@@ -376,7 +376,7 @@ class SymmetrizedDensity:
         Even p in sigmoid mode: ``1/(p+1) + 2 sum_{j odd} C(p, j) I_{p-j}``; odd p
         in literal mode: ``-2 sum_{j odd} C(p, j) I_{p-j}``; the other parity is 0.
         NumericalError on overflow or when the bound exceeds ``tol``."""
-        if not isinstance(order, int) or order < 0:
+        if isinstance(order, bool) or not isinstance(order, int) or order < 0:
             raise InputError(f"moment order must be a nonnegative integer, got {order!r}")
         if not tol > 0.0:
             raise InputError("tolerance must be positive")

@@ -53,7 +53,7 @@ class OperatorConfig:
     eval_mode: str = "renormalized"
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
+        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
             raise ParameterError(f"n must be an integer >= 1, got {self.n!r}")
         if not self.truncation_eps > 0.0:
             raise ParameterError(
@@ -72,9 +72,11 @@ def _sample_values(f: FunctionSpec, clipped: np.ndarray, inside: np.ndarray) -> 
     return np.where(inside, vals, 0.0) if f.extension == "zero" else vals
 
 
-def _domain_lattice(n: int, a: float) -> tuple[int, int]:
-    """First and last integer k with k/n in [-a, a]."""
-    return math.ceil(-n * a), math.floor(n * a)
+def _window(cfg: OperatorConfig, d: SymmetrizedDensity, a: float) -> tuple[int, int, int]:
+    """First and last integer k with k/n in [-a, a], and the partition radius R capped
+    at k_hi - k_lo + 2, which from any grid point reaches past both domain ends."""
+    k_lo, k_hi = math.ceil(-cfg.n * a), math.floor(cfg.n * a)
+    return k_lo, k_hi, d._partition_radius(cfg.truncation_eps, k_hi - k_lo + 2)
 
 
 def _checked_grid(cfg: OperatorConfig, fs, grid) -> tuple[np.ndarray, float]:
@@ -112,10 +114,7 @@ def approximate_many(cfg: OperatorConfig, d: SymmetrizedDensity, fs, grid) -> np
     """Operator values of each target in the sequence ``fs`` along ``grid``, shape
     ``(len(fs),) + grid.shape``.  The targets share a half-width, not an extension."""
     pts, a = _checked_grid(cfg, fs, grid)
-    k_lo, k_hi = _domain_lattice(cfg.n, a)
-    # From any grid point a radius of k_hi - k_lo + 2 already reaches one lattice
-    # point past both ends of the domain, so a wider one changes no window.
-    R = d._partition_radius(cfg.truncation_eps, k_hi - k_lo + 2)
+    k_lo, k_hi, R = _window(cfg, d, a)
     width = min(2 * R + 1, k_hi - k_lo + 1)
     cols = min(width, _CHUNK)
     rows = max(1, _CHUNK // cols)
@@ -193,8 +192,7 @@ def stability_gaps(cfg: OperatorConfig, d: SymmetrizedDensity, pairs,
     # Outside the domain every sample equals the one just past its edge, so
     # the window is cut to one lattice point beyond each end.
     a = fs[0].half_width
-    k_lo, k_hi = _domain_lattice(cfg.n, a)
-    R = d._partition_radius(cfg.truncation_eps, k_hi - k_lo + 2)   # as in approximate_many
+    k_lo, k_hi, R = _window(cfg, d, a)
     k0 = max(math.ceil(cfg.n * float(np.min(grid)) - R), k_lo - 1)
     k1 = min(math.floor(cfg.n * float(np.max(grid)) + R), k_hi + 1)
     xs = np.arange(k0, k1 + 1, dtype=float) / cfg.n

@@ -70,7 +70,7 @@ def _validate_n_list(n_list: Sequence[int]) -> list[int]:
     if not ns:
         raise InputError("n_list must be nonempty")
     for n in ns:
-        if not isinstance(n, (int, np.integer)) or n < 1:
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
             raise InputError(f"every n must be an integer >= 1, got {n!r}")
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise InputError("n_list must be strictly increasing")

@@ -6,7 +6,7 @@ from nnapprox import ActivationParams, SymmetrizedDensity
 
 @pytest.fixture(scope="session")
 def default_params():
-    return ActivationParams(2.0, 1.0, 1.0, 1.0, "sigmoid")
+    return ActivationParams(2.0, 1.0, 1.0, mode="sigmoid")
 
 
 @pytest.fixture(scope="session")
@@ -16,7 +16,7 @@ def default_density(default_params):
 
 @pytest.fixture(scope="session")
 def literal_density():
-    return SymmetrizedDensity(ActivationParams(2.0, 1.0, 1.0, 1.0, "literal"))
+    return SymmetrizedDensity(ActivationParams(2.0, 1.0, 1.0, mode="literal"))
 
 
 @pytest.fixture()

@@ -28,7 +28,7 @@ def report(num: int, name: str, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def density():
-    return na.SymmetrizedDensity(na.ActivationParams(2.0, 1.0, 1.0, 1.0, "sigmoid"))
+    return na.SymmetrizedDensity(na.ActivationParams(2.0, 1.0, 1.0, mode="sigmoid"))
 
 
 def test_criterion_01_partition_of_unity():
@@ -37,7 +37,7 @@ def test_criterion_01_partition_of_unity():
     offsets = rng.uniform(-5.0, 5.0, 200)
     worst = 0.0
     for q, theta, alpha in PARAM_GRID:
-        d = na.SymmetrizedDensity(na.ActivationParams(q, theta, alpha, 1.0, "sigmoid"))
+        d = na.SymmetrizedDensity(na.ActivationParams(q, theta, alpha, mode="sigmoid"))
         for u in offsets:
             worst = max(worst, abs(d.partition_sum(float(u), 1e-10) - 1.0))
     elapsed = time.perf_counter() - start
@@ -53,7 +53,7 @@ def test_criterion_02_literal_mode_diagnosis():
     worst_integral = 0.0
     worst_partition = 0.0
     for q, theta, alpha in PARAM_GRID:
-        d = na.SymmetrizedDensity(na.ActivationParams(q, theta, alpha, 1.0, "literal"))
+        d = na.SymmetrizedDensity(na.ActivationParams(q, theta, alpha, mode="literal"))
         worst_integral = max(worst_integral, abs(d.integral(1e-7)))
         for u in offsets:
             worst_partition = max(worst_partition, abs(d.partition_sum(float(u), 1e-8)))

@@ -20,39 +20,39 @@ from nnapprox.activation import _expit_diff, _stable_expit
 
 class TestFrozenValues:
     def test_literal_at_zero_is_half(self):
-        p = ActivationParams(2.0, 1.0, 1.0, 1.0, "literal")
+        p = ActivationParams(2.0, 1.0, 1.0, mode="literal")
         assert activation_value(p, 0.0) == 0.5
 
     def test_literal_at_ten(self):
         # 1 / (1 + 2**10) by hand
-        p = ActivationParams(2.0, 1.0, 1.0, 1.0, "literal")
+        p = ActivationParams(2.0, 1.0, 1.0, mode="literal")
         assert activation_value(p, 10.0) == pytest.approx(1.0 / 1025.0, rel=1e-14)
 
     def test_sigmoid_at_one(self):
         # 1 / (1 + 2**-1) by hand
-        p = ActivationParams(2.0, 1.0, 1.0, 1.0, "sigmoid")
+        p = ActivationParams(2.0, 1.0, 1.0, mode="sigmoid")
         assert activation_value(p, 1.0) == pytest.approx(2.0 / 3.0, rel=1e-14)
 
     def test_sigmoid_at_zero_is_half_both_modes(self):
         for mode in ("literal", "sigmoid"):
-            p = ActivationParams(3.0, 2.0, 0.5, 1.5, mode)
+            p = ActivationParams(3.0, 3.0, 0.5, mode=mode)
             assert activation_value(p, 0.0) == 0.5
 
 
 class TestSymmetry:
     def test_sigmoid_pair_sums_to_one(self, rng):
-        p = ActivationParams(2.0, 1.0, 0.7, 1.0, "sigmoid")
+        p = ActivationParams(2.0, 1.0, 0.7, mode="sigmoid")
         x = rng.uniform(-50.0, 50.0, 1000)
         total = activation_value(p, x) + activation_value(p, -x)
         np.testing.assert_allclose(total, 1.0, atol=1e-14)
 
     def test_literal_is_even_at_thousand_points(self, rng):
-        p = ActivationParams(2.0, 1.0, 0.7, 1.0, "literal")
+        p = ActivationParams(2.0, 1.0, 0.7, mode="literal")
         x = rng.uniform(-50.0, 50.0, 1000)
         np.testing.assert_array_equal(activation_value(p, x), activation_value(p, -x))
 
     def test_sigmoid_monotone_on_sorted_grid(self, rng):
-        p = ActivationParams(2.0, 1.0, 0.5, 1.0, "sigmoid")
+        p = ActivationParams(2.0, 1.0, 0.5, mode="sigmoid")
         x = np.sort(rng.uniform(-20.0, 20.0, 2000))
         vals = activation_value(p, x)
         assert np.all(np.diff(vals) >= 0.0)
@@ -68,24 +68,24 @@ class TestBoundsAndLimits:
         mode=st.sampled_from(["literal", "sigmoid"]),
     )
     def test_strictly_inside_unit_interval(self, q, theta, alpha, x, mode):
-        p = ActivationParams(q, theta, alpha, 1.0, mode)
+        p = ActivationParams(q, theta, alpha, mode=mode)
         v = activation_value(p, x)
         assert 0.0 < v < 1.0
 
     def test_literal_vanishes_at_large_argument(self):
-        p = ActivationParams(2.0, 1.0, 1.0, 1.0, "literal")
+        p = ActivationParams(2.0, 1.0, 1.0, mode="literal")
         assert activation_value(p, 50.0) < 1e-6
         assert activation_value(p, -50.0) < 1e-6
 
     def test_sigmoid_limits(self):
-        p = ActivationParams(2.0, 1.0, 1.0, 1.0, "sigmoid")
+        p = ActivationParams(2.0, 1.0, 1.0, mode="sigmoid")
         assert activation_value(p, 60.0) > 1.0 - 1e-6
         assert activation_value(p, -60.0) < 1e-6
 
     def test_subunit_base_keeps_orientation(self):
         # q < 1 maps internally to 1/q, so the profile stays increasing.
-        lo = ActivationParams(0.5, 1.0, 1.0, 1.0, "sigmoid")
-        hi = ActivationParams(2.0, 1.0, 1.0, 1.0, "sigmoid")
+        lo = ActivationParams(0.5, 1.0, 1.0, mode="sigmoid")
+        hi = ActivationParams(2.0, 1.0, 1.0, mode="sigmoid")
         x = np.linspace(-5.0, 5.0, 101)
         np.testing.assert_allclose(
             activation_value(lo, x), activation_value(hi, x), atol=1e-15
@@ -103,15 +103,15 @@ class TestValidation:
             dict(theta=-1.0),
             dict(alpha=0.0),
             dict(alpha=1.5),
-            dict(scale=0.0),
+            dict(theta=True),
             dict(mode="bogus"),
             dict(q=float("nan")),
-            dict(q=1.0000000001, theta=1e-300, scale=1e-300),   # rate underflows to 0
-            dict(theta=1e308, scale=1e308),                       # rate overflows to inf
+            dict(q=1.0000000001, theta=5e-324),   # rate underflows to 0
+            dict(q=1e308, theta=1e308),            # rate overflows to inf
         ],
     )
     def test_bad_parameters_rejected(self, kwargs):
-        base = dict(q=2.0, theta=1.0, alpha=1.0, scale=1.0, mode="sigmoid")
+        base = dict(q=2.0, theta=1.0, alpha=1.0, mode="sigmoid")
         base.update(kwargs)
         with pytest.raises(ParameterError):
             ActivationParams(**base)
@@ -152,7 +152,7 @@ class TestSaturatedDifference:
     def test_kernel_at_huge_rate_is_the_box(self, mode):
         # rate = 1e300 * ln(1e300) ~ 6.9e302: phi is a unit step (or a spike
         # at 0), so W is 1/2 on (-1, 1) and 1/4 at +-1 in sigmoid mode.
-        d = SymmetrizedDensity(ActivationParams(1e300, 1e300, 1.0, 1.0, mode))
+        d = SymmetrizedDensity(ActivationParams(1e300, 1e300, 1.0, mode=mode))
         x = np.array([-1e3, -2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 1e3])
         w = d.value(x)
         assert np.all(np.isfinite(w))
@@ -280,7 +280,7 @@ class TestOneExponentFormula:
     @pytest.mark.parametrize("mode", ["sigmoid", "literal"])
     @pytest.mark.parametrize("q,theta,alpha", PARAMS)
     def test_activation_bit_identical(self, q, theta, alpha, mode):
-        p = ActivationParams(q, theta, alpha, 1.0, mode)
+        p = ActivationParams(q, theta, alpha, mode=mode)
         lo, hi = np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)
         old = np.clip(_stable_expit(self._old_exponent(p, self.GRID)), lo, hi)
         np.testing.assert_array_equal(activation_value(p, self.GRID), old)
@@ -288,7 +288,7 @@ class TestOneExponentFormula:
     @pytest.mark.parametrize("mode", ["sigmoid", "literal"])
     @pytest.mark.parametrize("q,theta,alpha", PARAMS)
     def test_kernel_bit_identical(self, q, theta, alpha, mode):
-        p = ActivationParams(q, theta, alpha, 1.0, mode)
+        p = ActivationParams(q, theta, alpha, mode=mode)
         t1 = self._old_exponent(p, self.GRID + 1.0)
         t2 = self._old_exponent(p, self.GRID - 1.0)
         if mode == "sigmoid":

@@ -3,6 +3,8 @@
 import hashlib
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 from test_density import scipy_moment
 
 from nnapprox import ActivationParams, SymmetrizedDensity
-from nnapprox.cli import RunConfig, main, parse_config, run_subcommand
+from nnapprox.cli import _FLAG_PARSER, RunConfig, main, parse_config, run_subcommand
 from nnapprox.errors import ParameterError
 
 # One non-default value per RunConfig field, as flag/config-file text and as
@@ -20,11 +22,9 @@ NON_DEFAULT = {
     "q": ("3.5", 3.5),
     "theta": ("0.75", 0.75),
     "alpha": ("0.5", 0.5),
-    "scale": ("1.25", 1.25),
     "mode": ("literal", "literal"),
     "n": ("32", 32),
     "n_list": ("4,8,16", (4, 8, 16)),
-    "truncation_eps": ("1e-8", 1e-8),
     "eval_mode": ("raw", "raw"),
     "extension": ("zero", "zero"),
     "fn": ("abs_pow", "abs_pow"),
@@ -81,6 +81,12 @@ class TestParseConfig:
     def test_every_field_is_a_flag_and_a_config_key(self):
         assert set(NON_DEFAULT) == set(RunConfig.__dataclass_fields__)
 
+    def test_readme_lists_exactly_the_parser_flags(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        listed = readme.split("Flags, one per `RunConfig` field:")[1].split(" FILE`")[0]
+        defined = {s for a in _FLAG_PARSER._actions for s in a.option_strings} - {"-h", "--help"}
+        assert set(re.findall(r"--[a-z][a-z-]*", listed)) == defined
+
     @pytest.mark.parametrize("name", list(NON_DEFAULT))
     def test_flag_and_config_key_give_same_config(self, name, tmp_path):
         text, value = NON_DEFAULT[name]
@@ -129,6 +135,18 @@ class TestValidationExits:
         err = capsys.readouterr().err
         assert "alpha" in err and "(0, 1]" in err
 
+    @pytest.mark.parametrize("flag,key,value", [("--scale", "scale", "2"),
+                                                ("--truncation-eps", "truncation_eps", "1e-3")])
+    def test_removed_options_rejected(self, flag, key, value, tmp_path, capsys):
+        # scale only multiplied theta, and the CLI operator keeps the library's
+        # tolerance; both are gone as flags and as config keys.
+        path, out = tmp_path / "old.cfg", tmp_path / "a.csv"
+        path.write_text(f"{key}={value}\n")
+        assert main(["approx", flag, value, "--out", str(out)]) == 2
+        assert main(["approx", "--config", str(path), "--out", str(out)]) == 2
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unit_base_rejected(self, capsys):
         assert main(["approx", "--q", "1"]) == 2
         assert "q" in capsys.readouterr().err
@@ -166,7 +184,7 @@ class TestValidationExits:
 
     @pytest.mark.parametrize("subcommand", ["approx", "converge"])
     def test_rate_outside_double_range_rejected(self, subcommand, tmp_path, capsys):
-        args = ["--q", "1.0000000001", "--theta", "1e-300", "--scale", "1e-300"]
+        args = ["--q", "1.0000000001", "--theta", "5e-324"]
         assert main([subcommand, *args, "--out", str(tmp_path / "o.csv")]) == 2
         assert "rate" in capsys.readouterr().err
 
@@ -248,7 +266,7 @@ class TestSubcommands:
         out = tmp_path / "d.csv"
         assert main(["density", *flags, "--grid-points", "11", "--out", str(out)]) == 0
         cfg = parse_config(flags)
-        p = ActivationParams(cfg.q, cfg.theta, cfg.alpha, cfg.scale, cfg.mode)
+        p = ActivationParams(cfg.q, cfg.theta, cfg.alpha, cfg.mode)
         rows = [line.split(",") for line in out.read_text().strip().split("\n\n")[1].splitlines()]
         assert rows[0] == ["order", "value", "error_estimate"]
         for order, (k, value, error) in enumerate(rows[1:]):
@@ -365,21 +383,20 @@ _DOMAIN_FLAGS = {
     subcommand=st.sampled_from(sorted(_DOMAIN_FLAGS)),
     q=st.one_of(_LOG10.map(lambda e: 1.0 + 10.0**e),
                 st.floats(-307.0, 0.0, exclude_max=True).map(lambda e: 1.0 - 10.0**e)),
-    log_theta=_LOG10, log_scale=_LOG10,
+    log_theta=_LOG10,
     alpha=st.floats(0.0, 1.0, exclude_min=True),
     mode=st.sampled_from(["sigmoid", "literal"]),
     extension=st.sampled_from(["clamp", "zero", "none"]),
     eval_mode=st.sampled_from(["raw", "renormalized"]),
 )
 def test_whole_parameter_domain_exits_cleanly(tmp_path, capsys, subcommand, q, log_theta,
-                                              log_scale, alpha, mode, extension, eval_mode):
+                                              alpha, mode, extension, eval_mode):
     """Every subcommand exits 0, 2 or 3 (never 1) and writes no NaN, for
-    log-uniform |q - 1| on both sides of 1, theta and scale over the double range."""
+    log-uniform |q - 1| on both sides of 1 and theta over the double range."""
     out = tmp_path / "out"
     out.unlink(missing_ok=True)
-    argv = [subcommand, "--q", repr(q), "--theta", repr(10.0**log_theta),
-            "--scale", repr(10.0**log_scale), "--alpha", repr(alpha), "--mode", mode,
-            "--extension", extension, "--eval-mode", eval_mode, "--out", str(out)]
+    argv = [subcommand, "--q", repr(q), "--theta", repr(10.0**log_theta), "--alpha", repr(alpha),
+            "--mode", mode, "--extension", extension, "--eval-mode", eval_mode, "--out", str(out)]
     assert main(argv + _DOMAIN_FLAGS[subcommand]) in (0, 2, 3)
     assert not out.exists() or "nan" not in out.read_text().lower()
 

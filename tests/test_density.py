@@ -50,7 +50,7 @@ class TestPointValues:
 
     def test_sigmoid_nonnegative_on_dense_grid(self):
         for alpha in (0.3, 0.7, 1.0):
-            d = SymmetrizedDensity(ActivationParams(2.0, 1.0, alpha, 1.0, "sigmoid"))
+            d = SymmetrizedDensity(ActivationParams(2.0, 1.0, alpha, mode="sigmoid"))
             assert np.all(d.value(np.linspace(-200.0, 200.0, 20001)) >= 0.0)
 
     def test_non_finite_input_rejected(self, default_density):
@@ -69,7 +69,7 @@ class TestIntegral:
         "q,theta,alpha", [(1.5, 0.5, 0.3), (math.e, 5.0, 0.7), (3.0, 2.0, 1.0)]
     )
     def test_normalization_independent_of_parameters(self, q, theta, alpha):
-        d = SymmetrizedDensity(ActivationParams(q, theta, alpha, 1.0, "sigmoid"))
+        d = SymmetrizedDensity(ActivationParams(q, theta, alpha, mode="sigmoid"))
         assert d.integral(1e-8) == pytest.approx(1.0, abs=1e-6)
 
 
@@ -91,7 +91,7 @@ class TestPartitionSum:
             assert got == pytest.approx(oracle, abs=1e-9)
 
     def test_matches_wide_summation_oracle(self, rng):
-        d = SymmetrizedDensity(ActivationParams(2.0, 1.0, 0.5, 1.0, "sigmoid"))
+        d = SymmetrizedDensity(ActivationParams(2.0, 1.0, 0.5, mode="sigmoid"))
         radius = d._partition_radius(1e-10)
         for u in (0.0, 0.37, -1.62):
             assert d.partition_sum(u, 1e-10) == pytest.approx(
@@ -159,7 +159,7 @@ class TestLatticeMoments:
 DENSITIES = {
     "alpha=1": SymmetrizedDensity(ActivationParams(2.0, 1.0, 1.0)),
     "alpha=0.5": SymmetrizedDensity(ActivationParams(2.0, 1.0, 0.5)),
-    "literal": SymmetrizedDensity(ActivationParams(2.0, 1.0, 0.7, 1.0, "literal")),
+    "literal": SymmetrizedDensity(ActivationParams(2.0, 1.0, 0.7, mode="literal")),
 }
 
 
@@ -197,7 +197,7 @@ class TestContinuousMoments:
         assert rep.value == pytest.approx(expected, abs=1e-6)
 
     def test_order_two_against_scipy_quad(self):
-        d = SymmetrizedDensity(ActivationParams(2.0, 1.0, 0.5, 1.0, "sigmoid"))
+        d = SymmetrizedDensity(ActivationParams(2.0, 1.0, 0.5, mode="sigmoid"))
         rep = d.continuous_moment(2, 1e-8)
         # The integrand is even; pin the cusp at x = 1 for the oracle.
         ref_half, ref_err = integrate.quad(
@@ -215,6 +215,8 @@ class TestContinuousMoments:
             default_density.continuous_moment(-1, 1e-8)
         with pytest.raises(InputError):
             default_density.continuous_moment(1.5, 1e-8)
+        with pytest.raises(InputError):
+            default_density.continuous_moment(True, 1e-8)
 
 
 def scipy_tail_integral(p, m):
@@ -253,7 +255,7 @@ class TestClosedFormMoments:
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("kernel", list(KERNELS))
     def test_matches_scipy_gamma_and_zeta(self, kernel, mode, order):
-        p = ActivationParams(*KERNELS[kernel], 1.0, mode)
+        p = ActivationParams(*KERNELS[kernel], mode=mode)
         want = scipy_moment(p, order)
         # An absolute 1e-12 cannot be met by values near 1e15 (heavy tail, order 4).
         tol = 1e-12 * max(1.0, abs(want))
@@ -266,7 +268,7 @@ class TestClosedFormMoments:
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("kernel", ["alpha=1", "alpha=0.5"])
     def test_matches_scipy_quad(self, kernel, mode, order):
-        p = ActivationParams(*KERNELS[kernel], 1.0, mode)
+        p = ActivationParams(*KERNELS[kernel], mode=mode)
         rep = SymmetrizedDensity(p).continuous_moment(order, 1e-6)
         if (order % 2 == 1) == (mode == "sigmoid"):
             assert (rep.value, rep.quadrature_error_estimate) == (0.0, 0.0)
@@ -302,8 +304,8 @@ class TestClosedFormMoments:
 
 class TestTailCutoff:
     def test_steeper_decay_gives_smaller_radius(self):
-        steep = SymmetrizedDensity(ActivationParams(2.0, 5.0, 1.0, 1.0, "sigmoid"))
-        shallow = SymmetrizedDensity(ActivationParams(2.0, 0.2, 1.0, 1.0, "sigmoid"))
+        steep = SymmetrizedDensity(ActivationParams(2.0, 5.0, 1.0, mode="sigmoid"))
+        shallow = SymmetrizedDensity(ActivationParams(2.0, 0.2, 1.0, mode="sigmoid"))
         assert steep.tail_cutoff(1e-10) < shallow.tail_cutoff(1e-10)
 
     def test_radius_nondecreasing_as_tolerance_tightens(self, default_density):
@@ -311,7 +313,7 @@ class TestTailCutoff:
         assert all(b >= a for a, b in zip(radii, radii[1:]))
 
     def test_finite_for_fractional_exponent(self):
-        d = SymmetrizedDensity(ActivationParams(2.0, 1.0, 0.5, 1.0, "sigmoid"))
+        d = SymmetrizedDensity(ActivationParams(2.0, 1.0, 0.5, mode="sigmoid"))
         assert math.isfinite(d.tail_cutoff(1e-10))
 
     def test_window_past_the_old_budget_matches_mpmath(self):
@@ -319,7 +321,7 @@ class TestTailCutoff:
         # moments no longer sum a window and match the mpmath series.
         from test_lattice_moments import mp_lattice_moments
 
-        d = SymmetrizedDensity(ActivationParams(1.5, 0.5, 0.3, 1.0, "sigmoid"))
+        d = SymmetrizedDensity(ActivationParams(1.5, 0.5, 0.3, mode="sigmoid"))
         assert 2.0 * d.tail_cutoff(1e-12) + 1.0 > 8e8
         want1, want2 = mp_lattice_moments(d.params, 0.37)
         assert d.second_lattice_moment(0.37, 1e-12) == pytest.approx(want2, rel=1e-13)
@@ -429,7 +431,7 @@ def test_radius_bounds_true_tail_within_factor_two(kernel, power):
 
 class TestConcurrency:
     def test_parallel_partition_sums_match_sequential(self):
-        d = SymmetrizedDensity(ActivationParams(2.0, 1.0, 0.7, 1.0, "sigmoid"))
+        d = SymmetrizedDensity(ActivationParams(2.0, 1.0, 0.7, mode="sigmoid"))
         us = np.linspace(-2.0, 2.0, 40)
         with ThreadPoolExecutor(max_workers=4) as pool:
             parallel = list(pool.map(lambda u: d.partition_sum(u, 1e-9), us))

@@ -40,7 +40,7 @@ def _kernel_sums(d, u, radius, power):
     offsets=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=6),
 )
 def test_array_call_equals_scalar_calls_and_the_kernel_sum(alpha, mode, offsets):
-    d = SymmetrizedDensity(ActivationParams(2.0, 1.0, alpha, 1.0, mode))
+    d = SymmetrizedDensity(ActivationParams(2.0, 1.0, alpha, mode=mode))
     radius = d.tail_cutoff(1e-10) + 2.0
     # On the 2**-20 grid the oracle's kernel arguments u - k +- 1 are exact; off
     # it, rounding them costs the oracle up to 1e-13 next to the kink of
@@ -70,7 +70,7 @@ def test_offsets_next_to_the_kink_match_mpmath(u):
 def test_symmetry_points_match_the_kernel_sum(mode):
     # u = 0 carries the sign-0 weight of the j = 0 term; u = 1/2 pairs each
     # lattice point with its mirror image.
-    d = SymmetrizedDensity(ActivationParams(2.0, 1.0, 0.5, 1.0, mode))
+    d = SymmetrizedDensity(ActivationParams(2.0, 1.0, 0.5, mode=mode))
     radius = d.tail_cutoff(1e-10) + 2.0
     for u in (0.0, 0.5, -3.0):
         for power, got in zip((1, 2), _moments(d, u)):

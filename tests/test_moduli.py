@@ -70,6 +70,8 @@ class TestModulus:
             modulus(f, 0.0, 0.1)
         with pytest.raises(InputError):
             modulus(f, 0.1, 0.2)
+        with pytest.raises(InputError):
+            modulus(f, True, 0.1)
 
     @pytest.mark.parametrize("estimator", [modulus, second_modulus])
     def test_non_finite_widths_rejected(self, estimator):

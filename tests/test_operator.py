@@ -32,7 +32,8 @@ def spec_from(fn, half_width=1.0, extension="clamp", name="adhoc"):
 class TestConfigValidation:
     @pytest.mark.parametrize(
         "kwargs",
-        [dict(n=0), dict(n=-3), dict(truncation_eps=0.0), dict(eval_mode="other")],
+        [dict(n=0), dict(n=-3), dict(n=True), dict(truncation_eps=0.0),
+         dict(eval_mode="other")],
     )
     def test_bad_config_rejected(self, kwargs):
         base = dict(n=16, truncation_eps=1e-10, eval_mode="renormalized")
@@ -316,7 +317,7 @@ def test_even_target_gives_even_output(alpha, extension, eval_mode, target, n, a
 @pytest.mark.parametrize("q,theta,alpha", [(2.0, 1.0, 1.0), (2.0, 1.0, 0.5), (1.1, 0.5, 0.5), (0.3, 2.5, 0.7)])
 def test_tail_masses_match_four_separate_logistic_calls(q, theta, alpha, mode):
     # One stacked call of phi gives the bits of the four calls it replaced.
-    d = SymmetrizedDensity(ActivationParams(q, theta, alpha, 1.0, mode))
+    d = SymmetrizedDensity(ActivationParams(q, theta, alpha, mode=mode))
     rng = np.random.default_rng(7)
     u = np.concatenate([np.arange(-80.0, 80.5, 0.5), rng.uniform(-1e4, 1e4, 2000), [0.0, -0.0]])
     k_lo, k_hi = -64, 64

@@ -111,6 +111,8 @@ class TestConvergenceSweep:
             convergence_sweep(f, default_density, OperatorConfig(8), [16, 8], grid)
         with pytest.raises(InputError):
             convergence_sweep(f, default_density, OperatorConfig(8), [0, 8], grid)
+        with pytest.raises(InputError):
+            convergence_sweep(f, default_density, OperatorConfig(8), [True, 2], grid)
 
 
 class TestSecondMomentUniformity:
@@ -134,8 +136,8 @@ class TestSecondMomentUniformity:
             second_moment_uniformity(default_density, [8], ())
 
     def test_steeper_decay_shrinks_moment(self):
-        base = SymmetrizedDensity(ActivationParams(2.0, 1.0, 1.0, 1.0, "sigmoid"))
-        steep = SymmetrizedDensity(ActivationParams(2.0, 2.0, 1.0, 1.0, "sigmoid"))
+        base = SymmetrizedDensity(ActivationParams(2.0, 1.0, 1.0, mode="sigmoid"))
+        steep = SymmetrizedDensity(ActivationParams(2.0, 2.0, 1.0, mode="sigmoid"))
         v_base = second_moment_uniformity(base, [8])[0][1]
         v_steep = second_moment_uniformity(steep, [8])[0][1]
         assert v_steep < v_base
