@@ -22,13 +22,13 @@ for alpha in (1.0, 0.5, 0.3):
 print("\nkernel normalization across parameter choices (sigmoid mode):")
 for q, theta, alpha in [(2.0, 1.0, 1.0), (1.5, 0.5, 0.3), (np.e, 5.0, 0.7)]:
     d = SymmetrizedDensity(ActivationParams(q, theta, alpha, mode="sigmoid"))
-    print(f"  q={q:.3g} theta={theta} alpha={alpha}: integral = {d.integral(1e-8):.10f}")
+    print(f"  q={q:.3g} theta={theta} alpha={alpha}: integral = {d.integral():.10f}")
 
 # The literal mode takes |x| inside the exponent, which makes the profile even
 # and the kernel odd, so the same integral collapses to zero.  Keeping the mode
 # around makes the difference observable instead of silently corrected.
 d_lit = SymmetrizedDensity(ActivationParams(2.0, 1.0, 1.0, mode="literal"))
-print(f"\nliteral-mode integral: {d_lit.integral(1e-8):.3e}  (zero, not one)")
+print(f"\nliteral-mode integral: {d_lit.integral():.3e}  (zero, not one)")
 
 # Integer translates of the sigmoid kernel tile the line: at any offset the
 # translate sum telescopes to 1.  This is the property that lets the sampling

@@ -4,90 +4,20 @@ The package evaluates a two-parameter family of sigmoid activations with a
 fractional exponent, forms the symmetrized bump kernel from two shifted
 copies, applies the resulting sampling operator to targets on a symmetric
 interval, and measures how fast the approximation error falls against
-modulus-of-continuity bounds.
+modulus-of-continuity bounds.  Each module's ``__all__`` is its public surface.
 """
 
-from .activation import ActivationParams, activation_value
-from .density import MomentReport, SymmetrizedDensity
-from .errors import (
-    DomainError,
-    InputError,
-    NNApproxError,
-    NumericalError,
-    ParameterError,
-)
-from .moduli import (
-    ModulusEstimate,
-    holder_constant,
-    lp_norm,
-    modulus,
-    second_modulus,
-    sup_norm,
-)
-from .operator import (
-    OperatorConfig,
-    approximate,
-    approximate_grid,
-    approximate_many,
-    stability_gap,
-    stability_gaps,
-    sup_error,
-)
-from .quadrature import adaptive_simpson
-from .study import (
-    ConvergenceRecord,
-    RateFit,
-    convergence_sweep,
-    fit_loglog_slope,
-    records_to_csv,
-    records_to_json,
-    second_moment_uniformity,
-    stability_suite,
-)
-from .targets import (
-    FunctionRegistryEntry,
-    FunctionSpec,
-    builtin_functions,
-    make_function,
-)
+from . import activation, density, errors, moduli, operator, quadrature, study, targets
+from .activation import *
+from .density import *
+from .errors import *
+from .moduli import *
+from .operator import *
+from .quadrature import *
+from .study import *
+from .targets import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ActivationParams",
-    "activation_value",
-    "SymmetrizedDensity",
-    "MomentReport",
-    "FunctionSpec",
-    "FunctionRegistryEntry",
-    "builtin_functions",
-    "make_function",
-    "OperatorConfig",
-    "approximate",
-    "approximate_grid",
-    "approximate_many",
-    "sup_error",
-    "stability_gap",
-    "stability_gaps",
-    "ModulusEstimate",
-    "modulus",
-    "second_modulus",
-    "lp_norm",
-    "sup_norm",
-    "holder_constant",
-    "ConvergenceRecord",
-    "RateFit",
-    "convergence_sweep",
-    "fit_loglog_slope",
-    "second_moment_uniformity",
-    "stability_suite",
-    "records_to_csv",
-    "records_to_json",
-    "adaptive_simpson",
-    "NNApproxError",
-    "ParameterError",
-    "InputError",
-    "DomainError",
-    "NumericalError",
-    "__version__",
-]
+__all__ = [name for module in (activation, density, errors, moduli, operator, quadrature,
+                               study, targets) for name in module.__all__] + ["__version__"]

@@ -30,7 +30,6 @@ from .targets import _EXTENSIONS, FunctionSpec, make_function
 
 __all__ = ["RunConfig", "parse_config", "run_subcommand", "main", "entry"]
 
-SUBCOMMANDS = ("density", "approx", "moduli", "converge", "stability")
 OUTPUT_DIR_ENV = "NNAPPROX_OUTPUT_DIR"
 
 _STABILITY_PAIRS = 50
@@ -184,12 +183,11 @@ def _validate(cfg: RunConfig) -> RunConfig:
     return cfg
 
 
-def parse_config(argv, config_file: str | None = None) -> RunConfig:
+def parse_config(argv) -> RunConfig:
     """Resolve flags over config-file values over defaults into a RunConfig."""
     ns = _FLAG_PARSER.parse_args(list(argv))
     provided = {k: v for k, v in vars(ns).items() if k != "config"}
-    path = ns.config if ns.config is not None else config_file
-    file_values = _read_config_file(path) if path else {}
+    file_values = _read_config_file(ns.config) if ns.config else {}
     return _validate(replace(RunConfig(), **{**file_values, **provided}))
 
 
@@ -287,6 +285,7 @@ _RUNNERS = {
     "converge": _run_converge,
     "stability": _run_stability,
 }
+SUBCOMMANDS = tuple(_RUNNERS)
 # Appended to the summary of these subcommands in literal mode.
 _LITERAL_WARNINGS = {
     "density": "the literal kernel integrates to ~0, not 1; use --mode sigmoid for a "

@@ -31,7 +31,7 @@ from .errors import InputError, NumericalError
 __all__ = ["MomentReport", "SymmetrizedDensity"]
 
 _UNIT_ROUNDOFF = 2.0**-53      # lattice windows drop less than this
-_MAX_RADIUS = 2.0**52          # beyond this, float lattice indices stop being integers
+_MAX_INDEX = 2.0**52           # beyond this, float lattice indices stop being integers
 _BISECTIONS = 60
 # Borwein (2000), algorithm 2: |eta(s) - sum_{k<24} w_k (k+1)**-s| <= eta(s) / d_24 for
 # real s >= 1/2, where d_k sums the first k+1 coefficients of T_24(1 + 2x).
@@ -197,7 +197,7 @@ class SymmetrizedDensity:
         except (OverflowError, ZeroDivisionError, ValueError):
             r = math.inf
         r = min(r, cap)
-        if not r <= _MAX_RADIUS:
+        if not r <= _MAX_INDEX:
             raise NumericalError(
                 f"order-{power} tail radius at tolerance {tol:.3e} exceeds 2**52 "
                 f"(inf when its bound is out of floating-point range) for {self.params}"
@@ -216,25 +216,26 @@ class SymmetrizedDensity:
 
     # -- lattice sums -----------------------------------------------------------
 
-    @staticmethod
-    def _window(u: float, radius: int) -> tuple[float, int, int]:
-        """Offset reduced mod 1 (every lattice sum is periodic in it) and its window."""
+    def partition_sum(self, u: float, eps: float) -> float:
+        """Sum of kernel translates W(u - k) over the k within the partition radius
+        of u.  Consecutive terms share their phi values, so the window telescopes
+        to four boundary values; the sum is periodic in u, which is reduced mod 1."""
+        radius = self._partition_radius(eps)
         if not math.isfinite(u):
             raise InputError("lattice offset must be finite")
         u -= math.floor(u)
-        return u, math.ceil(u - radius), math.floor(u + radius)
-
-    def _telescoped_segment(self, u: float, k0: int, k1: int) -> float:
-        """Exact sum_{k=k0..k1} W(u - k): consecutive terms share their phi values,
-        so the segment collapses to four boundary values."""
-        pts = np.array([u - k0 + 1.0, u - k0, u - k1, u - k1 - 1.0])
-        ph = self._phi(pts)
+        k0, k1 = math.ceil(u - radius), math.floor(u + radius)
+        ph = self._phi(np.array([u - k0 + 1.0, u - k0, u - k1, u - k1 - 1.0]))
         return 0.5 * float(ph[0] + ph[1] - ph[2] - ph[3])
 
-    def partition_sum(self, u: float, eps: float) -> float:
-        """Sum of kernel translates W(u - k) over the window, telescoped."""
-        u, k0, k1 = self._window(u, self._partition_radius(eps))
-        return self._telescoped_segment(u, k0, k1)
+    def _outside_masses(self, u: np.ndarray, k_lo: int, k_hi: int):
+        """Total kernel weight at the lattice points left of k_lo and right of k_hi,
+        telescoped like ``partition_sum``; the left tail's sign follows phi's limit
+        at +inf (1 sigmoid, 0 literal)."""
+        sign = 1.0 if self.params.mode == "sigmoid" else -1.0
+        args = np.stack([k_lo - u - 1.0, k_lo - u, u - k_hi, u - k_hi - 1.0])
+        lo_out, lo_in, hi_in, hi_out = self._phi(args)
+        return sign * 0.5 * (lo_out + lo_in), 0.5 * (hi_in + hi_out)
 
     def _tail_sums(self, v: np.ndarray, p: int, tol: float) -> np.ndarray:
         """S_p(v) = sum_{j>=0} (j+v)**p q(j+v) for each v in [0, 1], p in {0, 1}, where
@@ -366,9 +367,9 @@ class SymmetrizedDensity:
                      + s * (abs(math.log(s)) + 2.0 + abs(log_rate)) + 1.0)
         return value, (_ETA_TRUNCATION + 4.0 * _UNIT_ROUNDOFF * roundings) * value
 
-    def integral(self, tol: float) -> float:
-        """Integral of the kernel: 1 in sigmoid mode, 0 in literal mode."""
-        return self.continuous_moment(0, tol).value
+    def integral(self) -> float:
+        """Integral of the kernel: exactly 1 in sigmoid mode, 0 in literal mode."""
+        return float(self.params.mode == "sigmoid")
 
     def continuous_moment(self, order: int, tol: float) -> MomentReport:
         """Integral of x**p * W(x), p = ``order``, with an error bound below ``tol``.

@@ -1,5 +1,7 @@
 """Exception hierarchy shared by all nnapprox modules."""
 
+__all__ = ["NNApproxError", "ParameterError", "InputError", "DomainError", "NumericalError"]
+
 
 class NNApproxError(Exception):
     """Base class for all errors raised by this package."""

@@ -38,6 +38,8 @@ class ModulusEstimate:
 
 
 def _grid(f: FunctionSpec, grid_step: float) -> tuple[np.ndarray, float]:
+    if isinstance(grid_step, bool) or not grid_step > 0.0:
+        raise InputError(f"grid_step must be positive, got {grid_step!r}")
     a = f.half_width
     steps = 2.0 * a / grid_step
     if not steps <= _MAX_GRID_POINTS - 1:
@@ -104,7 +106,7 @@ def second_modulus(f: FunctionSpec, t: float, grid_step: float) -> ModulusEstima
 
 def lp_norm(f: FunctionSpec, p: float, tol: float = 1e-10) -> float:
     """(integral of |f|**p over the domain) ** (1/p) by adaptive quadrature."""
-    if not p >= 1.0:
+    if isinstance(p, bool) or not p >= 1.0:
         raise InputError(f"p must be >= 1, got {p!r}")
     a = f.half_width
     value, _ = adaptive_simpson(lambda x: np.abs(f(x)) ** p, -a, a, tol)
@@ -113,8 +115,6 @@ def lp_norm(f: FunctionSpec, p: float, tol: float = 1e-10) -> float:
 
 def sup_norm(f: FunctionSpec, grid_step: float) -> float:
     """Max of |f| over the uniform grid."""
-    if not grid_step > 0.0:
-        raise InputError(f"grid_step must be positive, got {grid_step!r}")
     xs, _ = _grid(f, grid_step)
     return float(np.max(np.abs(f(xs))))
 
@@ -124,10 +124,8 @@ def holder_constant(f: FunctionSpec, gamma: float, grid_step: float) -> float:
     step apart, lag by lag.  Distances only grow with the lag (rounding is
     monotone), so once ``spread / min(dx)**gamma`` is at most the best ratio,
     no later lag can beat it."""
-    if not 0.0 < gamma <= 1.0:
+    if isinstance(gamma, bool) or not 0.0 < gamma <= 1.0:
         raise InputError(f"gamma must lie in (0, 1], got {gamma!r}")
-    if not grid_step > 0.0:
-        raise InputError(f"grid_step must be positive, got {grid_step!r}")
     xs, _ = _grid(f, grid_step)
     vals = f(xs)
     spread = float(vals.max() - vals.min())

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import SymmetrizedDensity
+from .density import _MAX_INDEX, SymmetrizedDensity
 from .errors import InputError, NumericalError, ParameterError
 from .targets import FunctionSpec
 
@@ -41,7 +41,6 @@ __all__ = [
 
 _EVAL_MODES = ("raw", "renormalized")
 _CHUNK = 1 << 14           # kernel weights per temporary matrix; bounds memory for any n*a
-_MAX_LATTICE = 2.0**52     # beyond n*a this large, float lattice indices stop being integers
 
 
 @dataclass(frozen=True)
@@ -55,7 +54,7 @@ class OperatorConfig:
     def __post_init__(self) -> None:
         if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 1:
             raise ParameterError(f"n must be an integer >= 1, got {self.n!r}")
-        if not self.truncation_eps > 0.0:
+        if isinstance(self.truncation_eps, bool) or not self.truncation_eps > 0.0:
             raise ParameterError(
                 f"truncation_eps must be positive, got {self.truncation_eps!r}"
             )
@@ -93,21 +92,12 @@ def _checked_grid(cfg: OperatorConfig, fs, grid) -> tuple[np.ndarray, float]:
     outside = np.abs(pts) > a
     if np.any(outside):
         raise InputError(f"x={pts[outside][0]} outside the target domain [-{a}, {a}]")
-    if cfg.n * a > _MAX_LATTICE:
+    if cfg.n * a > _MAX_INDEX:
         raise InputError(
             f"n * half_width = {cfg.n * a:.3e} exceeds 2**52, where lattice "
             f"indices are no longer exact in floating point"
         )
     return pts, a
-
-
-def _tail_masses(d: SymmetrizedDensity, u: np.ndarray, k_lo: int, k_hi: int):
-    """Total kernel weight of the lattice points left of k_lo and right of k_hi; the
-    telescoped left tail's sign follows phi's limit at +inf (1 sigmoid, 0 literal)."""
-    sign = 1.0 if d.params.mode == "sigmoid" else -1.0
-    args = np.stack([k_lo - u - 1.0, k_lo - u, u - k_hi, u - k_hi - 1.0])
-    lo_out, lo_in, hi_in, hi_out = d._phi(args)
-    return sign * 0.5 * (lo_out + lo_in), 0.5 * (hi_in + hi_out)
 
 
 def approximate_many(cfg: OperatorConfig, d: SymmetrizedDensity, fs, grid) -> np.ndarray:
@@ -142,7 +132,7 @@ def approximate_many(cfg: OperatorConfig, d: SymmetrizedDensity, fs, grid) -> np
                 out[i : i + rows] += (w * f(xs)[at]).sum(axis=1)
             mass[i : i + rows] += w.sum(axis=1)
 
-    left, right = _tail_masses(d, u_all, k_lo, k_hi)
+    left, right = d._outside_masses(u_all, k_lo, k_hi)
     for out, f in zip(raw, fs):
         if f.extension == "clamp":
             f_lo, f_hi = f(np.array([-a, a]))

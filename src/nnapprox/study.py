@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .density import SymmetrizedDensity
+from .density import _UNIT_ROUNDOFF, SymmetrizedDensity
 from .errors import InputError
 from .moduli import modulus, second_modulus
 from .operator import OperatorConfig, stability_gaps, sup_error
@@ -28,8 +28,6 @@ __all__ = [
     "fit_loglog_slope",
     "second_moment_uniformity",
     "stability_suite",
-    "format_table",
-    "records_table",
     "records_to_csv",
     "records_to_json",
 ]
@@ -122,19 +120,19 @@ def second_moment_uniformity(
     d: SymmetrizedDensity,
     n_list: Sequence[int],
     x_grid: Sequence[float] = _DEFAULT_X_GRID,
-    eps: float = 1e-10,
 ) -> list[tuple[int, float]]:
     """For each n, the max over ``x_grid`` of n**2 sum_k (k/n - x)**2 W(nx - k).
 
     That sum is the second lattice moment at the offset n x, so each n sees its
     own set of offsets; the values agree across n only as far as the moment is
-    flat in the offset, which makes the n-invariance observable.
+    flat in the offset, which makes the n-invariance observable.  Each moment is
+    taken at the tightest lattice tolerance, 2**-53.
     """
     ns = _validate_n_list(n_list)
     xs = np.asarray(x_grid, dtype=float)
     if xs.size == 0:
         raise InputError("x_grid must be nonempty")
-    return [(n, float(np.max(d.second_lattice_moment(n * xs, eps)))) for n in ns]
+    return [(n, float(np.max(d.second_lattice_moment(n * xs, _UNIT_ROUNDOFF)))) for n in ns]
 
 
 def stability_suite(

@@ -54,7 +54,7 @@ def test_criterion_02_literal_mode_diagnosis():
     worst_partition = 0.0
     for q, theta, alpha in PARAM_GRID:
         d = na.SymmetrizedDensity(na.ActivationParams(q, theta, alpha, mode="literal"))
-        worst_integral = max(worst_integral, abs(d.integral(1e-7)))
+        worst_integral = max(worst_integral, abs(d.integral()))
         for u in offsets:
             worst_partition = max(worst_partition, abs(d.partition_sum(float(u), 1e-8)))
     elapsed = time.perf_counter() - start

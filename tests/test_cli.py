@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 from test_density import scipy_moment
 
 from nnapprox import ActivationParams, SymmetrizedDensity
-from nnapprox.cli import _FLAG_PARSER, RunConfig, main, parse_config, run_subcommand
-from nnapprox.errors import ParameterError
+from nnapprox.cli import SUBCOMMANDS, _FLAG_PARSER, RunConfig, main, parse_config, run_subcommand
+from nnapprox.errors import InputError, ParameterError
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 # One non-default value per RunConfig field, as flag/config-file text and as
 # the value it parses to.
@@ -82,10 +84,15 @@ class TestParseConfig:
         assert set(NON_DEFAULT) == set(RunConfig.__dataclass_fields__)
 
     def test_readme_lists_exactly_the_parser_flags(self):
-        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        readme = README.read_text(encoding="utf-8")
         listed = readme.split("Flags, one per `RunConfig` field:")[1].split(" FILE`")[0]
         defined = {s for a in _FLAG_PARSER._actions for s in a.option_strings} - {"-h", "--help"}
         assert set(re.findall(r"--[a-z][a-z-]*", listed)) == defined
+
+    def test_readme_table_lists_exactly_the_subcommands(self):
+        table = README.read_text(encoding="utf-8").split("Subcommands and their outputs:")[1]
+        table = table.split("\n\n")[1]
+        assert re.findall(r"^\| `([a-z]+)`", table, re.MULTILINE) == list(SUBCOMMANDS)
 
     @pytest.mark.parametrize("name", list(NON_DEFAULT))
     def test_flag_and_config_key_give_same_config(self, name, tmp_path):
@@ -158,6 +165,21 @@ class TestValidationExits:
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 2
         assert "frobnicate" in capsys.readouterr().err
+        with pytest.raises(InputError, match="bogus"):
+            run_subcommand("bogus", RunConfig())
+
+    @pytest.mark.parametrize("config,flags,message", [
+        ("timed_output=maybe\n", [], "bad value for 'timed_output'"),
+        ("n 64\n", [], "expected key=value"),
+        ("", ["--grid-points", "1"], "grid_points must be >= 2"),
+        ("", ["--w-radius", "0"], "w_radius must be positive"),
+    ], ids=["config-bool", "config-no-equals", "grid-points", "w-radius"])
+    def test_bad_values_exit_2(self, config, flags, message, tmp_path, capsys):
+        path, out = tmp_path / "bad.cfg", tmp_path / "d.csv"
+        path.write_text(config)
+        assert main(["density", "--config", str(path), *flags, "--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("subcommand", ["converge", "moduli"])
     def test_empty_n_list_rejected(self, subcommand, tmp_path, capsys):

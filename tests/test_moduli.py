@@ -206,6 +206,23 @@ def test_grid_above_point_budget_rejected(estimate, step):
         estimate(make_function("sin"), step)
 
 
+@pytest.mark.parametrize("call", [
+    lambda f: modulus(f, 2.0, True),
+    lambda f: second_modulus(f, 2.0, True),
+    lambda f: sup_norm(f, True),
+    lambda f: sup_norm(f, 0.0),
+    lambda f: lp_norm(f, True),
+    lambda f: holder_constant(f, True, 0.01),
+    lambda f: holder_constant(f, 0.5, True),
+    lambda f: holder_constant(f, 0.5, 0.0),
+], ids=["modulus-step-bool", "second-modulus-step-bool", "sup-norm-step-bool", "sup-norm-step-0",
+        "lp-norm-p-bool", "holder-gamma-bool", "holder-step-bool", "holder-step-0"])
+def test_bool_or_nonpositive_numbers_rejected(call):
+    # A bool compares like 0 or 1, so only an isinstance check tells it apart.
+    with pytest.raises(InputError):
+        call(make_function("sin"))
+
+
 class TestNorms:
     def test_l2_of_unit_constant(self):
         f = make_function("const", (1.0,))

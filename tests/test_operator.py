@@ -22,7 +22,6 @@ from nnapprox import (
     stability_gap,
     sup_error,
 )
-from nnapprox.operator import _tail_masses
 
 
 def spec_from(fn, half_width=1.0, extension="clamp", name="adhoc"):
@@ -33,7 +32,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "kwargs",
         [dict(n=0), dict(n=-3), dict(n=True), dict(truncation_eps=0.0),
-         dict(eval_mode="other")],
+         dict(eval_mode="other"), dict(truncation_eps=True)],
     )
     def test_bad_config_rejected(self, kwargs):
         base = dict(n=16, truncation_eps=1e-10, eval_mode="renormalized")
@@ -324,6 +323,6 @@ def test_tail_masses_match_four_separate_logistic_calls(q, theta, alpha, mode):
     sign = 1.0 if mode == "sigmoid" else -1.0
     left = sign * 0.5 * (d._phi(k_lo - u - 1.0) + d._phi(k_lo - u))
     right = 0.5 * (d._phi(u - k_hi) + d._phi(u - k_hi - 1.0))
-    got_left, got_right = _tail_masses(d, u, k_lo, k_hi)
+    got_left, got_right = d._outside_masses(u, k_lo, k_hi)
     np.testing.assert_array_equal(got_left.view(np.int64), left.view(np.int64))
     np.testing.assert_array_equal(got_right.view(np.int64), right.view(np.int64))

@@ -58,6 +58,10 @@ class TestFailureModes:
         with pytest.raises(NumericalError):
             adaptive_simpson(blows_up, 0.0, 1.0, 1e-8)
 
+    def test_wrong_shape_integrand_rejected(self):
+        with pytest.raises(NumericalError, match="wrong shape"):
+            adaptive_simpson(lambda x: np.ones(3), 0.0, 1.0, 1e-8)
+
     # The last two pass the finiteness of a, b, b - a and a + b, but the
     # midpoints of the panels next to b would still overflow.
     @pytest.mark.parametrize("a,b", [(1e308, 1.7e308), (0.0, math.inf), (-math.inf, 0.0),

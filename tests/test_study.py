@@ -14,6 +14,7 @@ from nnapprox import (
     OperatorConfig,
     RateFit,
     SymmetrizedDensity,
+    builtin_functions,
     convergence_sweep,
     fit_loglog_slope,
     make_function,
@@ -23,7 +24,7 @@ from nnapprox import (
     stability_suite,
 )
 from nnapprox.cli import main
-from nnapprox.study import CSV_COLUMNS
+from nnapprox.study import CSV_COLUMNS, format_table
 
 
 def synthetic_records(err_of_n, ns=(8, 16, 32, 64)):
@@ -113,6 +114,29 @@ class TestConvergenceSweep:
             convergence_sweep(f, default_density, OperatorConfig(8), [0, 8], grid)
         with pytest.raises(InputError):
             convergence_sweep(f, default_density, OperatorConfig(8), [True, 2], grid)
+
+
+# (q, theta, alpha): light and heavy tails on both sides of q = 1.
+JACKSON_KERNELS = [(2.0, 1.0, 1.0), (2.0, 1.0, 0.5), (2.0, 1.0, 0.3), (1.1, 0.5, 0.5),
+                   (5.0, 3.0, 1.0), (0.5, 1.0, 0.7)]
+
+
+@pytest.mark.parametrize("eval_mode", ["renormalized", "raw"])
+@pytest.mark.parametrize("kernel", JACKSON_KERNELS,
+                         ids=lambda k: "q={},theta={},alpha={}".format(*k))
+def test_jackson_bound_holds_on_every_sweep_row(kernel, eval_mode):
+    # |S_n f(x) - f(x)| <= omega(f, 1/n) (1 + sqrt(M2)) for the clamp extension
+    # of every built-in target (README, "Jackson-type bound"); no slack.
+    d = SymmetrizedDensity(ActivationParams(*kernel))
+    cfg = OperatorConfig(8, eval_mode=eval_mode)
+    grid = np.linspace(-0.8, 0.8, 201)
+    for entry in builtin_functions():
+        if entry.name == "const":
+            continue
+        f = make_function(entry.name)
+        for r in convergence_sweep(f, d, cfg, [8, 16, 32, 64, 128, 256, 512], grid):
+            bound = r.omega_bound * (1.0 + math.sqrt(r.second_moment_scaled))
+            assert r.sup_error <= bound, (entry.name, r)
 
 
 class TestSecondMomentUniformity:
@@ -206,6 +230,10 @@ class TestSerialization:
             "wall_time_ms",
         }
         assert set(payload["rate_fit"]) == {"slope", "intercept", "r_squared"}
+
+    def test_unknown_format_rejected(self):
+        with pytest.raises(InputError, match="csv or json"):
+            format_table("xml", {None: (("x",), [(1.0,)])})
 
     def test_identical_records_serialize_identically(self):
         recs_a = synthetic_records(lambda n: 1.0 / n)
