@@ -113,6 +113,14 @@ def _upper_gamma_fraction(s: float, y: float) -> float:
     return h
 
 
+def _unit_tol(eps: float) -> float:
+    """``min(eps, 2**-53)`` for a positive eps; a bool, which min would take as 0 or 1,
+    is refused like a NaN or a nonpositive eps."""
+    if isinstance(eps, bool) or not eps > 0.0:
+        raise InputError("tolerance must be positive")
+    return min(eps, _UNIT_ROUNDOFF)
+
+
 @dataclass(frozen=True)
 class MomentReport:
     """One continuous moment of the kernel with an analytic bound on its error."""
@@ -207,11 +215,11 @@ class SymmetrizedDensity:
     def _partition_radius(self, eps: float, cap: float = math.inf) -> int:
         """Radius of the translate-sum window at tolerance ``eps``, floored at 2**-53,
         and at most ``cap`` (a window over a finite lattice needs no wider radius)."""
-        return self._radius(0, min(eps, _UNIT_ROUNDOFF), cap)
+        return self._radius(0, _unit_tol(eps), cap)
 
     def tail_cutoff(self, eps: float) -> float:
         """Larger of the translate-sum and second-moment radii at ``min(eps, 2**-53)``."""
-        tol = min(eps, _UNIT_ROUNDOFF)
+        tol = _unit_tol(eps)
         return float(max(self._radius(0, tol), self._radius(2, tol)))
 
     # -- lattice sums -----------------------------------------------------------
@@ -320,9 +328,7 @@ class SymmetrizedDensity:
         arr = np.asarray(u, dtype=float)
         if not np.all(np.isfinite(arr)):
             raise InputError("lattice offset must be finite")
-        tol = min(eps, _UNIT_ROUNDOFF)
-        if not tol > 0.0:
-            raise InputError("tolerance must be positive")
+        tol = _unit_tol(eps)
         u = (arr - np.floor(arr)).ravel()
         sums = self._tail_sums(np.concatenate([u, 1.0 - u]), power - 1, tol)
         s_u, s_w = sums[: u.size], sums[u.size :]
@@ -379,7 +385,7 @@ class SymmetrizedDensity:
         NumericalError on overflow or when the bound exceeds ``tol``."""
         if isinstance(order, bool) or not isinstance(order, int) or order < 0:
             raise InputError(f"moment order must be a nonnegative integer, got {order!r}")
-        if not tol > 0.0:
+        if isinstance(tol, bool) or not tol > 0.0:
             raise InputError("tolerance must be positive")
         sigmoid = self.params.mode == "sigmoid"
         if (order % 2 == 1) == sigmoid or order == 0:   # by symmetry, or the step's mass

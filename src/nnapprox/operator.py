@@ -12,10 +12,14 @@ tolerance in total and are left out, so a point costs at most 2R+1 terms.
 A grid is evaluated in chunks.  Each chunk forms a matrix of kernel weights,
 one row per grid point and one column per lattice point of its window; the
 weights do not depend on the target, so one matrix serves every target of a
-call.  Each target's samples are weighted and reduced row by row with numpy's
-pairwise sum, so every output depends only on its own x and never on the grid's
-order, its chunking or the other targets.  Renormalized mode divides by the
-total weight (window plus tails), which keeps constants exactly reproduced.
+call.  Each target is called once per chunk, on the chunk's lattice abscissas
+with -a and a appended for the clamp tails; ``stability_gaps`` calls it once,
+on one lattice that also holds its bound's window, and the same chunk loop
+reads from there.  Each target's samples are weighted and reduced row by row
+with numpy's pairwise sum, so every output depends only on its own x and never
+on the grid's order, its chunking or the other targets.  Renormalized mode
+divides by the total weight (window plus tails), which keeps constants exactly
+reproduced.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ __all__ = [
 
 _EVAL_MODES = ("raw", "renormalized")
 _CHUNK = 1 << 14           # kernel weights per temporary matrix; bounds memory for any n*a
+_GROUP = 1 << 20           # target samples a stability call holds at once; bounds memory too
 
 
 @dataclass(frozen=True)
@@ -64,22 +69,34 @@ class OperatorConfig:
             )
 
 
-def _sample_values(f: FunctionSpec, clipped: np.ndarray, inside: np.ndarray) -> np.ndarray:
-    """Samples of ``f`` at lattice abscissas clipped to the domain: 0 outside it under
-    ``zero``, else the clamped value (which ``none`` never weights; callers mask it)."""
-    vals = f(clipped)
-    return np.where(inside, vals, 0.0) if f.extension == "zero" else vals
-
-
-def _window(cfg: OperatorConfig, d: SymmetrizedDensity, a: float) -> tuple[int, int, int]:
-    """First and last integer k with k/n in [-a, a], and the partition radius R capped
-    at k_hi - k_lo + 2, which from any grid point reaches past both domain ends."""
+def _window(cfg: OperatorConfig, d: SymmetrizedDensity, a: float) -> tuple[int, int, int, int]:
+    """First and last integer k with k/n in [-a, a], the partition radius R capped
+    at k_hi - k_lo + 2, which from any grid point reaches past both domain ends,
+    and the width of every point's window, ``min(2R + 1, k_hi - k_lo + 1)``."""
     k_lo, k_hi = math.ceil(-cfg.n * a), math.floor(cfg.n * a)
-    return k_lo, k_hi, d._partition_radius(cfg.truncation_eps, k_hi - k_lo + 2)
+    R = d._partition_radius(cfg.truncation_eps, k_hi - k_lo + 2)
+    return k_lo, k_hi, R, min(2 * R + 1, k_hi - k_lo + 1)
 
 
-def _checked_grid(cfg: OperatorConfig, fs, grid) -> tuple[np.ndarray, float]:
-    """The grid as floats and the one half-width every target shares."""
+def _starts(u: np.ndarray, k_lo: int, k_hi: int, R: int, width: int) -> np.ndarray:
+    """First lattice index of the window of each u = n x: the in-domain points within
+    R of u, shifted inward at the domain ends to keep ``width`` of them."""
+    return np.clip(np.ceil(u - R), k_lo, k_hi - width + 1)
+
+
+def _renormalize_error(smallest: float) -> NumericalError:
+    return NumericalError(
+        f"window weight sum {smallest:.3e} is too close to zero to renormalize; "
+        f"the literal kernel mode does not form a partition of unity"
+    )
+
+
+def _checked_grid(cfg: OperatorConfig, d: SymmetrizedDensity, fs, grid) -> tuple[np.ndarray, float]:
+    """The grid as floats and the one half-width every target shares.
+
+    Renormalized literal mode is refused here, before any work, when a target
+    extends past the domain: under ``clamp`` and ``zero`` its total weight is
+    the whole translate sum of the odd kernel, which is 0."""
     widths = {f.half_width for f in fs}
     if len(widths) != 1:
         raise InputError(f"need targets on one shared domain, got half-widths {sorted(widths)}")
@@ -87,7 +104,7 @@ def _checked_grid(cfg: OperatorConfig, fs, grid) -> tuple[np.ndarray, float]:
     pts = np.asarray(grid, dtype=float)
     if pts.size == 0:
         raise InputError("evaluation grid is empty")
-    if not np.all(np.isfinite(pts)):
+    if not np.isfinite(pts).all():
         raise InputError("evaluation points must be finite")
     outside = np.abs(pts) > a
     if np.any(outside):
@@ -97,56 +114,78 @@ def _checked_grid(cfg: OperatorConfig, fs, grid) -> tuple[np.ndarray, float]:
             f"n * half_width = {cfg.n * a:.3e} exceeds 2**52, where lattice "
             f"indices are no longer exact in floating point"
         )
+    if (cfg.eval_mode == "renormalized" and d.params.mode == "literal"
+            and any(f.extension != "none" for f in fs)):
+        raise _renormalize_error(0.0)
     return pts, a
 
 
-def approximate_many(cfg: OperatorConfig, d: SymmetrizedDensity, fs, grid) -> np.ndarray:
-    """Operator values of each target in the sequence ``fs`` along ``grid``, shape
-    ``(len(fs),) + grid.shape``.  The targets share a half-width, not an extension."""
-    pts, a = _checked_grid(cfg, fs, grid)
-    k_lo, k_hi, R = _window(cfg, d, a)
-    width = min(2 * R + 1, k_hi - k_lo + 1)
+def _operator_pass(cfg: OperatorConfig, d: SymmetrizedDensity, fs, pts: np.ndarray, a: float,
+                   sample) -> np.ndarray:
+    """Operator values of each target in ``fs`` at the flat points ``pts``, shape
+    ``(len(fs), pts.size)``.
+
+    ``sample(k)`` supplies the samples of a chunk's lattice-index matrix ``k``:
+    one array ``v`` per target and an index array ``at``, with ``v[at]`` the
+    target at ``clip(k / n, -a, a)`` and ``v[-2:]`` the target at -a and a.
+    """
+    k_lo, k_hi, R, width = _window(cfg, d, a)
     cols = min(width, _CHUNK)
     rows = max(1, _CHUNK // cols)
 
-    u_all = cfg.n * pts.ravel()
+    u_all = cfg.n * pts
     raw = np.zeros((len(fs), u_all.size))
     mass = np.zeros_like(u_all)
     for i in range(0, u_all.size, rows):
         u = u_all[i : i + rows, None]
-        start = np.clip(np.ceil(u - R), k_lo, k_hi - width + 1)
+        start = _starts(u, k_lo, k_hi, R, width)
         for j in range(0, width, cols):
             k = start + np.arange(j, min(j + cols, width))
             # u - (k - 1) and u - (k + 1) are exact where they lie near phi's cusp
             # at 0 (Sterbenz); (u - k) + 1 and (u - k) - 1 would round there.
             w = d._w_raw(u - (k - 1.0), u - (k + 1.0))
-            # Sample each target once per distinct lattice point and gather, unless
-            # the windows lie so far apart that their span outgrows the matrix.
-            k_min, k_max = k[:, 0].min(), k[:, -1].max()
-            if k_max - k_min < k.size:
-                ks, at = np.arange(k_min, k_max + 1), (k - k_min).astype(np.intp)
-            else:
-                ks, at = k.ravel(), np.arange(k.size).reshape(k.shape)
-            xs = np.clip(ks / cfg.n, -a, a)
-            for out, f in zip(raw, fs):
-                out[i : i + rows] += (w * f(xs)[at]).sum(axis=1)
+            vals, at = sample(k)
+            for out, v in zip(raw, vals):
+                out[i : i + rows] += (w * v[at]).sum(axis=1)
             mass[i : i + rows] += w.sum(axis=1)
 
     left, right = d._outside_masses(u_all, k_lo, k_hi)
-    for out, f in zip(raw, fs):
-        if f.extension == "clamp":
-            f_lo, f_hi = f(np.array([-a, a]))
-            out += left * f_lo + right * f_hi
+    clamp = np.array([f.extension == "clamp" for f in fs])
+    if clamp.any():
+        ends = np.array([v[-2:] for v in vals])[clamp]   # f(-a), f(a) of the last chunk
+        raw[clamp] += left * ends[:, :1] + right * ends[:, 1:]
     if cfg.eval_mode == "renormalized":
         total = np.where([[f.extension == "none"] for f in fs], mass, mass + (left + right))
         smallest = float(np.min(np.abs(total)))
         if smallest < 1e-6:
-            raise NumericalError(
-                f"window weight sum {smallest:.3e} is too close to zero to renormalize; "
-                f"the literal kernel mode does not form a partition of unity"
-            )
+            raise _renormalize_error(smallest)
         raw /= total
-    return raw.reshape((len(fs),) + pts.shape)
+    return raw
+
+
+def _chunk_sampler(cfg: OperatorConfig, fs, a: float):
+    """``sample`` for ``_operator_pass`` that calls each target once per chunk, on
+    the chunk's distinct lattice points and gathers, unless the windows lie so far
+    apart that their span outgrows the matrix; -a and a ride along for the tails."""
+
+    def sample(k):
+        k_min, k_max = k[:, 0].min(), k[:, -1].max()
+        if k_max - k_min < k.size:
+            ks, at = np.arange(k_min, k_max + 1), (k - k_min).astype(np.intp)
+        else:
+            ks, at = k.ravel(), np.arange(k.size).reshape(k.shape)
+        xs = np.append(np.clip(ks / cfg.n, -a, a), (-a, a))
+        return [f(xs) for f in fs], at
+
+    return sample
+
+
+def approximate_many(cfg: OperatorConfig, d: SymmetrizedDensity, fs, grid) -> np.ndarray:
+    """Operator values of each target in the sequence ``fs`` along ``grid``, shape
+    ``(len(fs),) + grid.shape``.  The targets share a half-width, not an extension."""
+    pts, a = _checked_grid(cfg, d, fs, grid)
+    values = _operator_pass(cfg, d, fs, pts.ravel(), a, _chunk_sampler(cfg, fs, a))
+    return values.reshape((len(fs),) + pts.shape)
 
 
 def approximate_grid(cfg: OperatorConfig, d: SymmetrizedDensity, f: FunctionSpec, grid) -> np.ndarray:
@@ -173,25 +212,58 @@ def stability_gaps(cfg: OperatorConfig, d: SymmetrizedDensity, pairs,
     partition radius of the grid, extension values included where that window
     passes the domain.  In renormalized sigmoid mode the gap never exceeds
     the bound by more than the truncation tolerance (the weights are
-    nonnegative and sum to one after division).  All pairs share one operator call.
+    nonnegative and sum to one after division).
+
+    Each target is called once, on one lattice that holds the bound's window
+    and every operator window, with -a and a appended; the operator pass reads
+    its samples from there.  When the samples of all targets outgrow ``_GROUP``
+    doubles, the pass calls the targets per chunk instead, as
+    ``approximate_many`` does, and the bounds run in consecutive groups of
+    pairs whose samples fit, so memory stays bounded for any n * a.  Every
+    output depends only on its own x, n and target, so not on the grouping.
     """
     fs = [h for pair in pairs for h in pair]
-    values = approximate_many(cfg, d, fs, grid).reshape(len(fs), -1)
-    gaps = np.max(np.abs(values[0::2] - values[1::2]), axis=1)
-
+    pts, a = _checked_grid(cfg, d, fs, grid)
+    pts = pts.ravel()
+    k_lo, k_hi, R, width = _window(cfg, d, a)
     # Outside the domain every sample equals the one just past its edge, so
-    # the window is cut to one lattice point beyond each end.
-    a = fs[0].half_width
-    k_lo, k_hi, R = _window(cfg, d, a)
-    k0 = max(math.ceil(cfg.n * float(np.min(grid)) - R), k_lo - 1)
-    k1 = min(math.floor(cfg.n * float(np.max(grid)) + R), k_hi + 1)
-    xs = np.arange(k0, k1 + 1, dtype=float) / cfg.n
-    clipped, inside = np.clip(xs, -a, a), np.abs(xs) <= a
-    bounds = []
-    for f, g in zip(fs[0::2], fs[1::2]):
-        gap = np.abs(_sample_values(f, clipped, inside) - _sample_values(g, clipped, inside))
-        bounds.append(float(np.max(gap[inside] if "none" in (f.extension, g.extension) else gap)))
-    return list(zip(gaps.tolist(), bounds))
+    # the bound's window is cut to one lattice point beyond each end.
+    u_min, u_max = cfg.n * pts.min(), cfg.n * pts.max()
+    k0 = max(math.ceil(u_min - R), k_lo - 1)
+    k1 = min(math.floor(u_max + R), k_hi + 1)
+    # The one lattice also holds every operator window, which the domain ends
+    # may shift past k0 or k1.
+    s_min, s_max = _starts(np.array([u_min, u_max]), k_lo, k_hi, R, width)
+    first, last = min(k0, int(s_min)), max(k1, int(s_max) + width - 1)
+    xs = np.append(np.arange(first, last + 1) / cfg.n, (-a, a))
+    inside = np.abs(xs) <= a
+    np.clip(xs, -a, a, out=xs)
+    window = slice(k0 - first, k1 - first + 1)
+
+    def sample(h):
+        v = h(xs)
+        return np.where(inside, v, 0.0) if h.extension == "zero" else v
+
+    def bounds(group, vals):
+        for f, g, vf, vg in zip(group[0::2], group[1::2], vals[0::2], vals[1::2]):
+            diff = vf[window] - vg[window]
+            np.abs(diff, out=diff)
+            none = "none" in (f.extension, g.extension)
+            yield float((diff[inside[window]] if none else diff).max())
+
+    per_group = 2 * max(1, _GROUP // (2 * xs.size))
+    if per_group >= len(fs):
+        vals = [sample(h) for h in fs]
+        values = _operator_pass(cfg, d, fs, pts, a, lambda k: (vals, (k - first).astype(np.intp)))
+        pair_bounds = list(bounds(fs, vals))
+    else:
+        # A pass per group would form the kernel weights once per group, which
+        # costs more than calling the targets per chunk where windows are wide.
+        values = _operator_pass(cfg, d, fs, pts, a, _chunk_sampler(cfg, fs, a))
+        groups = (fs[i : i + per_group] for i in range(0, len(fs), per_group))
+        pair_bounds = [b for group in groups for b in bounds(group, [sample(h) for h in group])]
+    gaps = np.max(np.abs(values[0::2] - values[1::2]), axis=1).tolist()
+    return list(zip(gaps, pair_bounds))
 
 
 def stability_gap(cfg: OperatorConfig, d: SymmetrizedDensity, f: FunctionSpec, g: FunctionSpec,

@@ -40,7 +40,7 @@ def adaptive_simpson(
     finite or exceeds half the largest double, where widths or midpoints
     of the panels would overflow.
     """
-    if tol <= 0.0:
+    if isinstance(tol, bool) or not tol > 0.0:   # NaN too, which would never converge
         raise NumericalError("quadrature tolerance must be positive")
     a, b = float(a), float(b)   # Python floats overflow to inf without a warning
     if not (math.isfinite(2.0 * a) and math.isfinite(2.0 * b)):

@@ -55,9 +55,9 @@ class FunctionSpec:
             raise DomainError(
                 f"target {self.name!r} returned shape {out.shape} for input shape {arr.shape}"
             )
-        if not np.all(np.isfinite(out)):
+        if not np.isfinite(out).all():
             raise DomainError(f"target {self.name!r} returned a non-finite value")
-        if np.ndim(x) == 0:
+        if arr.ndim == 0:
             return float(out)
         return out
 

@@ -260,6 +260,13 @@ class TestValidationExits:
         out = tmp_path / "a.csv"
         assert main(["approx", "--mode", "literal", "--out", str(out)]) == 3
 
+    def test_literal_renormalized_two_point_grid_without_extension_succeeds(self, tmp_path):
+        # Under "none" the renormalizing sum depends on the grid; at the two
+        # domain ends each window holds one side of the odd kernel.
+        out = tmp_path / "a.csv"
+        assert main(["approx", "--mode", "literal", "--extension", "none", "--grid-points", "2",
+                     "--out", str(out)]) == 0
+
 
 class TestSubcommands:
     def test_density_csv_has_sample_and_moment_tables(self, tmp_path, capsys):

@@ -301,7 +301,7 @@ class TestClosedFormMoments:
         assert literal_density.integral() == 0.0
 
     def test_bad_tolerance_rejected(self, default_density):
-        for tol in (0.0, -1.0, math.nan):
+        for tol in (0.0, -1.0, math.nan, True):
             with pytest.raises(InputError):
                 default_density.continuous_moment(2, tol)
 
@@ -378,8 +378,12 @@ class TestTailCutoff:
             d._radius(power, 1e-10)
 
     def test_bad_tolerance_rejected(self, default_density):
-        with pytest.raises(InputError):
-            default_density.tail_cutoff(0.0)
+        # min(True, 2**-53) would run silently at 2**-53.
+        for eps in (0.0, math.nan, True):
+            with pytest.raises(InputError, match="tolerance must be positive"):
+                default_density.tail_cutoff(eps)
+            with pytest.raises(InputError, match="tolerance must be positive"):
+                default_density.partition_sum(0.3, eps)
 
     def test_cap_bounds_the_radius_and_float_windows_still_refuse(self, default_density):
         # The operator caps the radius at its lattice; the float windows of

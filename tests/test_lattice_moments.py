@@ -166,9 +166,10 @@ def test_bad_offsets_and_tolerances_rejected(default_density):
     for bad in (math.inf, [0.1, math.nan]):
         with pytest.raises(InputError):
             default_density.second_lattice_moment(bad, 1e-10)
-    for eps in (0.0, -1.0, math.nan):
-        with pytest.raises(InputError):
-            default_density.first_lattice_moment(0.3, eps)
+    for eps in (0.0, -1.0, math.nan, True):
+        for call in (default_density.first_lattice_moment, default_density.second_lattice_moment):
+            with pytest.raises(InputError, match="tolerance must be positive"):
+                call(0.3, eps)
 
 
 def test_offset_blocks_keep_the_bits():

@@ -4,7 +4,8 @@ Each row of ``approximate_many`` must equal the one-target call on the same
 target bit for bit, whatever the other targets, their extensions, the grid
 order or its chunking.  ``stability_suite`` must equal a per-pair loop,
 including a reference that re-derives each gap from two one-target calls and
-each bound from its own lattice window.
+each bound from its own lattice window.  Each target is called once per
+kernel-weight matrix of ``approximate_many`` and once per ``stability_gaps``.
 """
 
 import math
@@ -14,8 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nnapprox.operator as operator_module
 from nnapprox import (
     ActivationParams,
+    FunctionSpec,
     InputError,
     NumericalError,
     OperatorConfig,
@@ -177,3 +180,91 @@ def test_suite_equals_per_pair_loop(densities, kernel, seeds, eval_mode, n, a, x
         stability_gap(cfg, d, f, g, grid) for f, g in pairs
     ] == [_reference_gap(cfg, d, f, g, grid) for f, g in pairs]
     assert [ok for _, _, ok in suite] == [gap <= bound + 1e-10 for gap, bound, _ in suite]
+
+
+# Extension pairs that mix all three policies, so both bound masks are exercised.
+_MIXED = [("clamp", "zero"), ("zero", "none"), ("none", "clamp"), ("clamp", "clamp")]
+
+
+@pytest.mark.parametrize("kernel", list(KERNELS))
+@pytest.mark.parametrize("case", ["ends-at-n-4096", "several-chunks", "several-groups"])
+def test_suite_equals_per_pair_loop_edge_cases(densities, monkeypatch, kernel, case):
+    # ends: a grid at +-a, whose bound window spans the domain while the two
+    # operator windows touch only its ends; several-groups: one pair per group.
+    a, n, grid = {
+        "ends-at-n-4096": (1.037, 4096, np.array([-1.037, 1.037])),
+        "several-chunks": (1.0, 512, np.linspace(-1.0, 1.0, 301)),
+        "several-groups": (1.0, 64, np.linspace(-1.0, 1.0, 25)),
+    }[case]
+    if case == "several-groups":
+        monkeypatch.setattr(operator_module, "_GROUP", 1)
+    d, cfg = densities[kernel], OperatorConfig(n)
+    pairs = [(make_function("pwlin", (2.0 * i,), a, e), make_function("pwlin", (2.0 * i + 1,), a, h))
+             for i, (e, h) in enumerate(_MIXED)]
+    assert stability_gaps(cfg, d, pairs, grid) == [
+        stability_gap(cfg, d, f, g, grid) for f, g in pairs
+    ] == [_reference_gap(cfg, d, f, g, grid) for f, g in pairs]
+
+
+def _counted(f):
+    """``f`` with a list that grows by one entry per call of its callable."""
+    calls = []
+
+    def fn(x):
+        calls.append(x.size)
+        return f.fn(x)
+
+    return FunctionSpec(f.name, f.parameters, f.half_width, f.extension, fn), calls
+
+
+def _count_weight_matrices(monkeypatch, d):
+    """A list that grows by one entry per kernel-weight matrix ``d`` forms."""
+    matrices = []
+    w_raw = d._w_raw
+    monkeypatch.setattr(d, "_w_raw", lambda *args: matrices.append(1) or w_raw(*args))
+    return matrices
+
+
+@pytest.mark.parametrize("chunk, points", [(None, 1001), (64, 101)])
+def test_each_target_called_once_per_weight_matrix(default_density, monkeypatch, chunk, points):
+    # A patched chunk of 64 weights splits every 111-term window into two matrices.
+    if chunk is not None:
+        monkeypatch.setattr(operator_module, "_CHUNK", chunk)
+    matrices = _count_weight_matrices(monkeypatch, default_density)
+    counted = [_counted(make_function("sin", extension=ext)) for ext in EXTENSIONS]
+    approximate_many(OperatorConfig(512), default_density, [f for f, _ in counted],
+                     np.linspace(-1.0, 1.0, points))
+    assert len(matrices) > 2
+    assert [len(calls) for _, calls in counted] == [len(matrices)] * len(counted)
+
+
+@pytest.mark.parametrize("group", [None, 1])
+def test_stability_calls_each_target_once(default_density, monkeypatch, group):
+    # Past the sample budget (patched to 1) the pass calls each target per
+    # weight matrix, as approximate_many does, and the bound calls it once more.
+    if group is not None:
+        monkeypatch.setattr(operator_module, "_GROUP", group)
+    matrices = _count_weight_matrices(monkeypatch, default_density)
+    counted = [(_counted(make_function("pwlin", (2.0 * i,), 1.0, e)),
+                _counted(make_function("pwlin", (2.0 * i + 1,), 1.0, h)))
+               for i, (e, h) in enumerate(_MIXED)]
+    grid = np.linspace(-1.0, 1.0, 1001)   # seven weight matrices at n = 512
+    stability_gaps(OperatorConfig(512), default_density,
+                   [(f, g) for (f, _), (g, _) in counted], grid)
+    assert len(matrices) == 7
+    calls = 1 if group is None else len(matrices) + 1
+    assert [len(c) for pair in counted for _, c in pair] == [calls] * 2 * len(_MIXED)
+
+
+@pytest.mark.parametrize("extension", ["clamp", "zero"])
+def test_literal_renormalize_refused_before_any_work(literal_density, monkeypatch, extension):
+    # The total weight under clamp and zero is the odd kernel's whole translate sum, 0.
+    monkeypatch.setattr(literal_density, "_w_raw", lambda *args: pytest.fail("weights formed"))
+    f, calls = _counted(make_function("sin", extension=extension))
+    g = make_function("runge", extension="none")
+    cfg = OperatorConfig(16)
+    for call in (lambda: approximate_many(cfg, literal_density, [g, f], [0.3, 1.0]),
+                 lambda: stability_gaps(cfg, literal_density, [(g, f)], [0.3, 1.0])):
+        with pytest.raises(NumericalError, match="window weight sum 0.000e"):
+            call()
+    assert calls == []

@@ -92,8 +92,14 @@ class TestFailureModes:
                 lp_norm(make_function("const", (1.0,), 1e308), 2.0)
 
     def test_bad_tolerance_rejected(self):
-        with pytest.raises(NumericalError):
-            adaptive_simpson(np.sin, 0.0, 1.0, 0.0)
+        # A NaN tolerance never converges; True would integrate at tol 1.
+        calls = []
+        for tol in (0.0, math.nan, True):
+            with pytest.raises(NumericalError, match="tolerance must be positive"):
+                adaptive_simpson(lambda x: calls.append(x) or np.sin(x), 0.0, 1.0, tol)
+            with pytest.raises(NumericalError, match="tolerance must be positive"):
+                lp_norm(make_function("sin"), 2.0, tol)
+        assert calls == []
 
 
 def _hex_pair(pair):
