@@ -13,9 +13,9 @@ A grid is evaluated in chunks.  Each chunk forms a matrix of kernel weights,
 one row per grid point and one column per lattice point of its window; the
 weights do not depend on the target, so one matrix serves every target of a
 call.  Each target is called once per chunk, on the chunk's lattice abscissas
-with -a and a appended for the clamp tails; ``stability_gaps`` calls it once,
-on one lattice that also holds its bound's window, and the same chunk loop
-reads from there.  Each target's samples are weighted and reduced row by row
+with -a and a appended for the clamp tails, unless ``stability_gaps`` has
+already sampled one lattice that holds every window, which the same chunk loop
+then reads.  Each target's samples are weighted and reduced row by row
 with numpy's pairwise sum, so every output depends only on its own x and never
 on the grid's order, its chunking or the other targets.  Renormalized mode
 divides by the total weight (window plus tails), which keeps constants exactly
@@ -45,7 +45,7 @@ __all__ = [
 
 _EVAL_MODES = ("raw", "renormalized")
 _CHUNK = 1 << 14           # kernel weights per temporary matrix; bounds memory for any n*a
-_GROUP = 1 << 20           # target samples a stability call holds at once; bounds memory too
+_GROUP = 1 << 20           # target samples per stability tile; bounds memory for any n*a too
 
 
 @dataclass(frozen=True)
@@ -120,14 +120,22 @@ def _checked_grid(cfg: OperatorConfig, d: SymmetrizedDensity, fs, grid) -> tuple
     return pts, a
 
 
+def _samples(cfg: OperatorConfig, fs, a: float, ks: np.ndarray) -> list[np.ndarray]:
+    """Each target of ``fs`` at the lattice points ``ks / n`` clipped to [-a, a],
+    then at -a and a for the clamp tails: one call per target."""
+    xs = np.append(np.clip(ks / cfg.n, -a, a), (-a, a))
+    return [f(xs) for f in fs]
+
+
 def _operator_pass(cfg: OperatorConfig, d: SymmetrizedDensity, fs, pts: np.ndarray, a: float,
-                   sample) -> np.ndarray:
+                   lattice=None) -> np.ndarray:
     """Operator values of each target in ``fs`` at the flat points ``pts``, shape
     ``(len(fs), pts.size)``.
 
-    ``sample(k)`` supplies the samples of a chunk's lattice-index matrix ``k``:
-    one array ``v`` per target and an index array ``at``, with ``v[at]`` the
-    target at ``clip(k / n, -a, a)`` and ``v[-2:]`` the target at -a and a.
+    Each chunk samples the targets on its distinct lattice points and gathers,
+    unless its windows lie so far apart that their span outgrows the matrix.
+    ``lattice = (first, vals)`` supplies the samples instead: ``vals`` from
+    ``_samples`` on consecutive lattice points from ``first`` that hold every window.
     """
     k_lo, k_hi, R, width = _window(cfg, d, a)
     cols = min(width, _CHUNK)
@@ -144,7 +152,15 @@ def _operator_pass(cfg: OperatorConfig, d: SymmetrizedDensity, fs, pts: np.ndarr
             # u - (k - 1) and u - (k + 1) are exact where they lie near phi's cusp
             # at 0 (Sterbenz); (u - k) + 1 and (u - k) - 1 would round there.
             w = d._w_raw(u - (k - 1.0), u - (k + 1.0))
-            vals, at = sample(k)
+            if lattice is not None:
+                vals, at = lattice[1], (k - lattice[0]).astype(np.intp)
+            else:
+                k_min, k_max = k[:, 0].min(), k[:, -1].max()
+                if k_max - k_min < k.size:
+                    ks, at = np.arange(k_min, k_max + 1), (k - k_min).astype(np.intp)
+                else:
+                    ks, at = k.ravel(), np.arange(k.size).reshape(k.shape)
+                vals = _samples(cfg, fs, a, ks)
             for out, v in zip(raw, vals):
                 out[i : i + rows] += (w * v[at]).sum(axis=1)
             mass[i : i + rows] += w.sum(axis=1)
@@ -163,28 +179,11 @@ def _operator_pass(cfg: OperatorConfig, d: SymmetrizedDensity, fs, pts: np.ndarr
     return raw
 
 
-def _chunk_sampler(cfg: OperatorConfig, fs, a: float):
-    """``sample`` for ``_operator_pass`` that calls each target once per chunk, on
-    the chunk's distinct lattice points and gathers, unless the windows lie so far
-    apart that their span outgrows the matrix; -a and a ride along for the tails."""
-
-    def sample(k):
-        k_min, k_max = k[:, 0].min(), k[:, -1].max()
-        if k_max - k_min < k.size:
-            ks, at = np.arange(k_min, k_max + 1), (k - k_min).astype(np.intp)
-        else:
-            ks, at = k.ravel(), np.arange(k.size).reshape(k.shape)
-        xs = np.append(np.clip(ks / cfg.n, -a, a), (-a, a))
-        return [f(xs) for f in fs], at
-
-    return sample
-
-
 def approximate_many(cfg: OperatorConfig, d: SymmetrizedDensity, fs, grid) -> np.ndarray:
     """Operator values of each target in the sequence ``fs`` along ``grid``, shape
     ``(len(fs),) + grid.shape``.  The targets share a half-width, not an extension."""
     pts, a = _checked_grid(cfg, d, fs, grid)
-    values = _operator_pass(cfg, d, fs, pts.ravel(), a, _chunk_sampler(cfg, fs, a))
+    values = _operator_pass(cfg, d, fs, pts.ravel(), a)
     return values.reshape((len(fs),) + pts.shape)
 
 
@@ -214,13 +213,14 @@ def stability_gaps(cfg: OperatorConfig, d: SymmetrizedDensity, pairs,
     the bound by more than the truncation tolerance (the weights are
     nonnegative and sum to one after division).
 
-    Each target is called once, on one lattice that holds the bound's window
-    and every operator window, with -a and a appended; the operator pass reads
-    its samples from there.  When the samples of all targets outgrow ``_GROUP``
-    doubles, the pass calls the targets per chunk instead, as
-    ``approximate_many`` does, and the bounds run in consecutive groups of
-    pairs whose samples fit, so memory stays bounded for any n * a.  Every
-    output depends only on its own x, n and target, so not on the grouping.
+    The bound scans the lattice hull of its window and every operator window
+    in consecutive tiles of at most ``_GROUP`` samples of all targets, calling
+    each target once per tile.  When one tile covers the hull, the operator
+    pass reads its samples, so each target is called once.  Otherwise the pass
+    calls the targets per chunk, as ``approximate_many`` does; a pass per tile
+    would form the kernel weights once per tile.  Either way memory does not
+    grow with n * a.  Every output depends only on its own x, n and target,
+    so not on the tiling.
     """
     fs = [h for pair in pairs for h in pair]
     pts, a = _checked_grid(cfg, d, fs, grid)
@@ -231,39 +231,30 @@ def stability_gaps(cfg: OperatorConfig, d: SymmetrizedDensity, pairs,
     u_min, u_max = cfg.n * pts.min(), cfg.n * pts.max()
     k0 = max(math.ceil(u_min - R), k_lo - 1)
     k1 = min(math.floor(u_max + R), k_hi + 1)
-    # The one lattice also holds every operator window, which the domain ends
-    # may shift past k0 or k1.
+    # The hull also holds every operator window, which the domain ends may
+    # shift past k0 or k1.
     s_min, s_max = _starts(np.array([u_min, u_max]), k_lo, k_hi, R, width)
     first, last = min(k0, int(s_min)), max(k1, int(s_max) + width - 1)
-    xs = np.append(np.arange(first, last + 1) / cfg.n, (-a, a))
-    inside = np.abs(xs) <= a
-    np.clip(xs, -a, a, out=xs)
-    window = slice(k0 - first, k1 - first + 1)
-
-    def sample(h):
-        v = h(xs)
-        return np.where(inside, v, 0.0) if h.extension == "zero" else v
-
-    def bounds(group, vals):
-        for f, g, vf, vg in zip(group[0::2], group[1::2], vals[0::2], vals[1::2]):
+    tile = max(1, _GROUP // len(fs) - 2)   # lattice points per tile, with -a and a beside them
+    bounds = [-math.inf] * (len(fs) // 2)
+    for t in range(first, last + 1, tile):
+        ks = np.arange(t, min(t + tile, last + 1))
+        inside = np.abs(ks / cfg.n) <= a
+        zeroed = np.append(inside, (True, True))
+        vals = None   # frees the previous tile before the next is sampled
+        vals = [np.where(zeroed, v, 0.0) if h.extension == "zero" else v
+                for h, v in zip(fs, _samples(cfg, fs, a, ks))]
+        # Clipped to the tile's lattice points, so -a and a never enter the bound.
+        window = slice(*np.clip((k0 - t, k1 + 1 - t), 0, ks.size))
+        for i, (f, g, vf, vg) in enumerate(zip(fs[0::2], fs[1::2], vals[0::2], vals[1::2])):
             diff = vf[window] - vg[window]
             np.abs(diff, out=diff)
-            none = "none" in (f.extension, g.extension)
-            yield float((diff[inside[window]] if none else diff).max())
-
-    per_group = 2 * max(1, _GROUP // (2 * xs.size))
-    if per_group >= len(fs):
-        vals = [sample(h) for h in fs]
-        values = _operator_pass(cfg, d, fs, pts, a, lambda k: (vals, (k - first).astype(np.intp)))
-        pair_bounds = list(bounds(fs, vals))
-    else:
-        # A pass per group would form the kernel weights once per group, which
-        # costs more than calling the targets per chunk where windows are wide.
-        values = _operator_pass(cfg, d, fs, pts, a, _chunk_sampler(cfg, fs, a))
-        groups = (fs[i : i + per_group] for i in range(0, len(fs), per_group))
-        pair_bounds = [b for group in groups for b in bounds(group, [sample(h) for h in group])]
+            if "none" in (f.extension, g.extension):
+                diff = diff[inside[window]]
+            bounds[i] = max(bounds[i], float(diff.max(initial=-math.inf)))
+    values = _operator_pass(cfg, d, fs, pts, a, (first, vals) if tile > last - first else None)
     gaps = np.max(np.abs(values[0::2] - values[1::2]), axis=1).tolist()
-    return list(zip(gaps, pair_bounds))
+    return list(zip(gaps, bounds))
 
 
 def stability_gap(cfg: OperatorConfig, d: SymmetrizedDensity, f: FunctionSpec, g: FunctionSpec,

@@ -5,10 +5,12 @@ target bit for bit, whatever the other targets, their extensions, the grid
 order or its chunking.  ``stability_suite`` must equal a per-pair loop,
 including a reference that re-derives each gap from two one-target calls and
 each bound from its own lattice window.  Each target is called once per
-kernel-weight matrix of ``approximate_many`` and once per ``stability_gaps``.
+kernel-weight matrix of ``approximate_many`` and once per ``stability_gaps``
+while one tile holds its lattice, whose memory does not grow with n.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -186,24 +188,71 @@ def test_suite_equals_per_pair_loop(densities, kernel, seeds, eval_mode, n, a, x
 _MIXED = [("clamp", "zero"), ("zero", "none"), ("none", "clamp"), ("clamp", "clamp")]
 
 
-@pytest.mark.parametrize("kernel", list(KERNELS))
-@pytest.mark.parametrize("case", ["ends-at-n-4096", "several-chunks", "several-groups"])
+def _mixed_pairs(a):
+    return [(make_function("pwlin", (2.0 * i,), a, e), make_function("pwlin", (2.0 * i + 1,), a, h))
+            for i, (e, h) in enumerate(_MIXED)]
+
+
+# The heavy tail's radius of 616909 would need n = 2**20 for an interior grid,
+# where this test takes over a second, so the interior case leaves it out.
+_EDGE_CASES = [(case, kernel) for case in ("ends-at-n-4096", "several-chunks", "several-groups")
+               for kernel in KERNELS] + [("interior-several-tiles", "alpha=1"),
+                                         ("interior-several-tiles", "alpha=0.5")]
+
+
+@pytest.mark.parametrize("case, kernel", _EDGE_CASES, ids=[f"{c}-{k}" for c, k in _EDGE_CASES])
 def test_suite_equals_per_pair_loop_edge_cases(densities, monkeypatch, kernel, case):
     # ends: a grid at +-a, whose bound window spans the domain while the two
-    # operator windows touch only its ends; several-groups: one pair per group.
+    # operator windows touch only its ends; several-groups: one lattice point per tile.
+    # interior: every window stays more than R + 1 lattice points inside both
+    # ends, so f(-a) and f(a), sampled beside every tile, must not enter a bound.
     a, n, grid = {
         "ends-at-n-4096": (1.037, 4096, np.array([-1.037, 1.037])),
         "several-chunks": (1.0, 512, np.linspace(-1.0, 1.0, 301)),
         "several-groups": (1.0, 64, np.linspace(-1.0, 1.0, 25)),
+        "interior-several-tiles": (1.0, None, np.array([-0.1, 0.02, 0.1])),
     }[case]
+    d = densities[kernel]
     if case == "several-groups":
         monkeypatch.setattr(operator_module, "_GROUP", 1)
-    d, cfg = densities[kernel], OperatorConfig(n)
-    pairs = [(make_function("pwlin", (2.0 * i,), a, e), make_function("pwlin", (2.0 * i + 1,), a, h))
-             for i, (e, h) in enumerate(_MIXED)]
+    if case == "interior-several-tiles":
+        R = d._partition_radius(1e-10)
+        n = 2 ** math.ceil(math.log2((R + 2) / 0.9))
+        # Tiles of R lattice points for 8 targets; the hull holds more than 2R.
+        monkeypatch.setattr(operator_module, "_GROUP", 8 * (R + 2))
+    cfg, pairs = OperatorConfig(n), _mixed_pairs(a)
     assert stability_gaps(cfg, d, pairs, grid) == [
         stability_gap(cfg, d, f, g, grid) for f, g in pairs
     ] == [_reference_gap(cfg, d, f, g, grid) for f, g in pairs]
+
+
+@pytest.mark.parametrize("group", [None, 1])
+def test_pairs_may_be_a_one_shot_iterator(default_density, monkeypatch, group):
+    if group is not None:
+        monkeypatch.setattr(operator_module, "_GROUP", group)
+    cfg, pairs, grid = OperatorConfig(64), _mixed_pairs(1.0), np.linspace(-1.0, 1.0, 25)
+    assert (stability_gaps(cfg, default_density, iter(pairs), grid)
+            == stability_gaps(cfg, default_density, pairs, grid))
+    assert (stability_suite(default_density, cfg, iter(pairs), grid)
+            == stability_suite(default_density, cfg, pairs, grid))
+
+
+def test_stability_memory_does_not_grow_with_n(default_density, monkeypatch):
+    # With both budgets patched small, the hulls of 8195 and 131075 lattice
+    # points must each peak within a fixed multiple of the sample budget.
+    budget = 8 * (1 << 12)   # bytes
+    monkeypatch.setattr(operator_module, "_GROUP", 1 << 12)
+    monkeypatch.setattr(operator_module, "_CHUNK", 1 << 10)
+    pairs, grid = _mixed_pairs(1.0), np.linspace(-1.0, 1.0, 25)
+    peaks = []
+    for n in (1 << 12, 1 << 16):
+        tracemalloc.start()
+        try:
+            stability_gaps(OperatorConfig(n), default_density, pairs, grid)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 8 * budget, peaks
 
 
 def _counted(f):
@@ -240,8 +289,9 @@ def test_each_target_called_once_per_weight_matrix(default_density, monkeypatch,
 
 @pytest.mark.parametrize("group", [None, 1])
 def test_stability_calls_each_target_once(default_density, monkeypatch, group):
-    # Past the sample budget (patched to 1) the pass calls each target per
-    # weight matrix, as approximate_many does, and the bound calls it once more.
+    # Past the sample budget (patched to 1) the bound calls each target once per
+    # one-point tile of the hull [-513, 513] and the pass once per weight matrix,
+    # as approximate_many does.
     if group is not None:
         monkeypatch.setattr(operator_module, "_GROUP", group)
     matrices = _count_weight_matrices(monkeypatch, default_density)
@@ -252,7 +302,7 @@ def test_stability_calls_each_target_once(default_density, monkeypatch, group):
     stability_gaps(OperatorConfig(512), default_density,
                    [(f, g) for (f, _), (g, _) in counted], grid)
     assert len(matrices) == 7
-    calls = 1 if group is None else len(matrices) + 1
+    calls = 1 if group is None else len(matrices) + 1027
     assert [len(c) for pair in counted for _, c in pair] == [calls] * 2 * len(_MIXED)
 
 
