@@ -18,7 +18,7 @@ from .activation import _MODES, ActivationParams
 from .density import SymmetrizedDensity
 from .errors import InputError, NumericalError, ParameterError
 from .operator import _EVAL_MODES, OperatorConfig, approximate_grid
-from .moduli import modulus, second_modulus
+from .moduli import _moduli
 from .study import (
     convergence_sweep,
     fit_loglog_slope,
@@ -245,7 +245,7 @@ def _run_approx(cfg: RunConfig):
 def _run_moduli(cfg: RunConfig):
     f = _target(cfg)
     t_list = cfg.t_list if cfg.t_list is not None else tuple(1.0 / n for n in cfg.n_list)
-    rows = [(t, modulus(f, t, t / 4.0).value, second_modulus(f, t, t / 4.0).value) for t in t_list]
+    rows = [(t, *_moduli(f, t, t / 4.0)) for t in t_list]
     return ({None: (("t", "modulus", "second_modulus"), rows)}, None,
             f"moduli: {len(rows)} widths for fn={cfg.fn}")
 

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activation import ActivationParams, _exponent_argument, _expit_diff, _stable_expit
+from .activation import (ActivationParams, _exponent_argument, _expit_parts, _parts_diff,
+                         _stable_expit)
 from .errors import InputError, NumericalError
 
 __all__ = ["MomentReport", "SymmetrizedDensity"]
@@ -142,24 +143,26 @@ class SymmetrizedDensity:
     def _phi(self, x: np.ndarray) -> np.ndarray:
         return _stable_expit(_exponent_argument(self.params, x))
 
-    def _w_raw(self, right: np.ndarray, left: np.ndarray) -> np.ndarray:
-        """(phi(right) - phi(left)) / 2, the kernel at x from ``right = x + 1`` and
-        ``left = x - 1``: callers form both from their own exact offsets."""
-        t1 = _exponent_argument(self.params, right)
-        t2 = _exponent_argument(self.params, left)
+    def _w_raw(self, x: np.ndarray, lag: int) -> np.ndarray:
+        """Kernel weights (phi(x[..., c]) - phi(x[..., c + lag])) / 2 along the last axis
+        of ``x``: the kernel at y from ``y + 1`` and ``y - 1``, which callers form from
+        their own exact offsets.  Each abscissa's exponent is formed once, however
+        many weights it feeds."""
+        parts = _expit_parts(_exponent_argument(self.params, x))
+        right = tuple(p[..., :-lag] for p in parts)
+        left = tuple(p[..., lag:] for p in parts)
         if self.params.mode == "sigmoid":
-            return 0.5 * _expit_diff(t1, t2)
-        hi = np.maximum(t1, t2)
-        lo = np.minimum(t1, t2)
-        sign = np.where(t1 >= t2, 1.0, -1.0)
-        return 0.5 * sign * _expit_diff(hi, lo)
+            return 0.5 * _parts_diff(right, left)
+        # Literal phi is not monotone, so the larger exponent leads the difference.
+        return np.where(right[0] >= left[0], 0.5 * _parts_diff(right, left),
+                        -0.5 * _parts_diff(left, right))
 
     def value(self, x):
         """Kernel value (phi(x+1) - phi(x-1)) / 2 at scalar or array ``x``."""
         arr = np.asarray(x, dtype=float)
         if not np.all(np.isfinite(arr)):
             raise InputError("kernel input must be finite")
-        out = self._w_raw(arr + 1.0, arr - 1.0)
+        out = self._w_raw(np.stack((arr + 1.0, arr - 1.0), axis=-1), 1)[..., 0]
         if np.ndim(x) == 0:
             return float(out)
         return out
@@ -236,12 +239,16 @@ class SymmetrizedDensity:
         ph = self._phi(np.array([u - k0 + 1.0, u - k0, u - k1, u - k1 - 1.0]))
         return 0.5 * float(ph[0] + ph[1] - ph[2] - ph[3])
 
-    def _outside_masses(self, u: np.ndarray, k_lo: int, k_hi: int):
-        """Total kernel weight at the lattice points left of k_lo and right of k_hi,
-        telescoped like ``partition_sum``; the left tail's sign follows phi's limit
-        at +inf (1 sigmoid, 0 literal)."""
+    def _outside_masses(self, u: np.ndarray, k_lo, k_hi):
+        """Total kernel weight at the lattice points left of k_lo and right of k_hi
+        (integers, or one per u), telescoped like ``partition_sum``; the left
+        tail's sign follows phi's limit at +inf (1 sigmoid, 0 literal)."""
         sign = 1.0 if self.params.mode == "sigmoid" else -1.0
-        args = np.stack([k_lo - u - 1.0, k_lo - u, u - k_hi, u - k_hi - 1.0])
+        args = np.empty((4,) + np.shape(u))
+        np.subtract(k_lo, u, out=args[1])
+        np.subtract(args[1], 1.0, out=args[0])
+        np.subtract(u, k_hi, out=args[2])
+        np.subtract(args[2], 1.0, out=args[3])
         lo_out, lo_in, hi_in, hi_out = self._phi(args)
         return sign * 0.5 * (lo_out + lo_in), 0.5 * (hi_in + hi_out)
 

@@ -65,8 +65,33 @@ def _check_widths(t: float, grid_step: float) -> None:
         raise InputError(f"grid_step must lie in (0, t], got {grid_step!r} for t={t!r}")
 
 
+def _sampled(f: FunctionSpec, t: float, grid_step: float) -> tuple[float, float, np.ndarray]:
+    """``(t, h, f(xs))`` on the uniform grid xs of step h <= grid_step, after checking
+    both widths: the one sample that both moduli read."""
+    _check_widths(t, grid_step)
+    xs, h = _grid(f, grid_step)
+    return t, h, f(xs)
+
+
 def modulus(f: FunctionSpec, t: float, grid_step: float) -> ModulusEstimate:
-    """Largest |f(x) - f(y)| over grid pairs with |x - y| <= t.
+    """Largest |f(x) - f(y)| over grid pairs with |x - y| <= t."""
+    return _spread(*_sampled(f, t, grid_step))
+
+
+def second_modulus(f: FunctionSpec, t: float, grid_step: float) -> ModulusEstimate:
+    """Largest |f(x+h) - 2 f(x) + f(x-h)| over the grid for steps h <= t,
+    with x +- h kept inside the domain."""
+    return _second_difference(*_sampled(f, t, grid_step))
+
+
+def _moduli(f: FunctionSpec, t: float, grid_step: float) -> tuple[float, float]:
+    """The ``modulus`` and ``second_modulus`` values, both from one sample of f."""
+    sample = _sampled(f, t, grid_step)
+    return _spread(*sample).value, _second_difference(*sample).value
+
+
+def _spread(t: float, h: float, vals: np.ndarray) -> ModulusEstimate:
+    """``modulus`` of the samples ``vals`` at step h.
 
     The max and min of every window of w + 1 consecutive samples come from
     span doubling: after each step ``hi[i]`` is the max of ``span`` samples
@@ -74,10 +99,7 @@ def modulus(f: FunctionSpec, t: float, grid_step: float) -> ModulusEstimate:
     min are exact, so this costs O(N log w) and gives each window's spread
     bit for bit.
     """
-    _check_widths(t, grid_step)
-    xs, h = _grid(f, grid_step)
-    vals = f(xs)
-    w = _window_steps(t, h, xs.size - 1)   # >= 1, since h <= grid_step <= t
+    w = _window_steps(t, h, vals.size - 1)   # >= 1, since h <= grid_step <= t
     hi = lo = vals
     span = 1
     while 2 * span <= w + 1:
@@ -89,13 +111,9 @@ def modulus(f: FunctionSpec, t: float, grid_step: float) -> ModulusEstimate:
     return ModulusEstimate(float(t), float((hi - lo).max()), h)
 
 
-def second_modulus(f: FunctionSpec, t: float, grid_step: float) -> ModulusEstimate:
-    """Largest |f(x+h) - 2 f(x) + f(x-h)| over the grid for steps h <= t,
-    with x +- h kept inside the domain."""
-    _check_widths(t, grid_step)
-    xs, h = _grid(f, grid_step)
-    vals = f(xs)
-    w = _window_steps(t, h, (xs.size - 1) // 2)
+def _second_difference(t: float, h: float, vals: np.ndarray) -> ModulusEstimate:
+    """``second_modulus`` of the samples ``vals`` at step h."""
+    w = _window_steps(t, h, (vals.size - 1) // 2)
     best = 0.0
     for m in range(1, w + 1):
         d2 = np.abs(vals[2 * m:] - 2.0 * vals[m:-m] + vals[:-2 * m])

@@ -9,21 +9,27 @@ closed-form tails; ``none`` keeps the in-domain points only.  In-domain points
 farther from nx than the partition radius R carry less than the truncation
 tolerance in total and are left out, so a point costs at most 2R+1 terms.
 
-A grid is evaluated in chunks.  Each chunk forms a matrix of kernel weights,
-one row per grid point and one column per lattice point of its window; the
-weights do not depend on the target, so one matrix serves every target of a
-call.  Each target is called once per chunk, on the chunk's lattice abscissas
-with -a and a appended for the clamp tails, unless ``stability_gaps`` has
-already sampled one lattice that holds every window, which the same chunk loop
-then reads.  Each target's samples are weighted and reduced row by row
-with numpy's pairwise sum, so every output depends only on its own x and never
-on the grid's order, its chunking or the other targets.  Renormalized mode
-divides by the total weight (window plus tails), which keeps constants exactly
-reproduced.
+A grid is evaluated in chunks of rows, one row per (n, x): a convergence sweep
+evaluates its whole n ladder in one pass, and the rows of consecutive n whose
+windows have one width share chunks.  Each chunk forms a matrix of kernel
+weights, one row per grid point and one column per lattice point of its
+window, from one array of the abscissas u - j that holds each window's two
+outer neighbours too; each abscissa's exponent is formed once, and the weight
+of column k reads abscissa columns k and k + 2.  The weights do not depend on
+the target, so one matrix serves every target of a call.  Each target is
+called once per chunk, on the chunk's lattice abscissas of every n with -a and
+a appended for the clamp tails, unless ``stability_gaps`` has already sampled
+one lattice that holds every window, which the same chunk loop then reads.
+Each target's samples are weighted and reduced row by row with numpy's
+pairwise sum, so every output depends only on its own x and n and never on
+the grid's order, its chunking, the other n or the other targets.
+Renormalized mode divides by the total weight (window plus tails), which keeps
+constants exactly reproduced.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -69,19 +75,33 @@ class OperatorConfig:
             )
 
 
-def _window(cfg: OperatorConfig, d: SymmetrizedDensity, a: float) -> tuple[int, int, int, int]:
-    """First and last integer k with k/n in [-a, a], the partition radius R capped
-    at k_hi - k_lo + 2, which from any grid point reaches past both domain ends,
-    and the width of every point's window, ``min(2R + 1, k_hi - k_lo + 1)``."""
+def _window(cfg: OperatorConfig, d: SymmetrizedDensity, fs, a: float) -> tuple[int, ...]:
+    """n, the first and last integer k with k/n in [-a, a], the partition radius R
+    capped at k_hi - k_lo + 2, which from any grid point reaches past both domain
+    ends, and the width of every point's window, ``min(2R + 1, k_hi - k_lo + 1)``.
+
+    Renormalized literal mode is refused here, before any work, when a target
+    extends past the domain: under ``clamp`` and ``zero`` its total weight is
+    the whole translate sum of the odd kernel, which is 0."""
+    if cfg.n * a > _MAX_INDEX:
+        raise InputError(
+            f"n * half_width = {cfg.n * a:.3e} exceeds 2**52, where lattice "
+            f"indices are no longer exact in floating point"
+        )
+    if (cfg.eval_mode == "renormalized" and d.params.mode == "literal"
+            and any(f.extension != "none" for f in fs)):
+        raise _renormalize_error(0.0)
     k_lo, k_hi = math.ceil(-cfg.n * a), math.floor(cfg.n * a)
     R = d._partition_radius(cfg.truncation_eps, k_hi - k_lo + 2)
-    return k_lo, k_hi, R, min(2 * R + 1, k_hi - k_lo + 1)
+    return cfg.n, k_lo, k_hi, R, min(2 * R + 1, k_hi - k_lo + 1)
 
 
-def _starts(u: np.ndarray, k_lo: int, k_hi: int, R: int, width: int) -> np.ndarray:
-    """First lattice index of the window of each u = n x: the in-domain points within
-    R of u, shifted inward at the domain ends to keep ``width`` of them."""
-    return np.clip(np.ceil(u - R), k_lo, k_hi - width + 1)
+def _starts(u: np.ndarray, window) -> np.ndarray:
+    """First lattice index of the window of each u = n x, as a float: the in-domain
+    points within R of u, shifted inward at the domain ends to keep ``width`` of
+    them.  The ``_window`` fields may also be arrays, one entry per u."""
+    _, k_lo, k_hi, R, width = window
+    return np.minimum(np.maximum(np.ceil(u - R), k_lo), k_hi - width + 1)
 
 
 def _renormalize_error(smallest: float) -> NumericalError:
@@ -91,12 +111,8 @@ def _renormalize_error(smallest: float) -> NumericalError:
     )
 
 
-def _checked_grid(cfg: OperatorConfig, d: SymmetrizedDensity, fs, grid) -> tuple[np.ndarray, float]:
-    """The grid as floats and the one half-width every target shares.
-
-    Renormalized literal mode is refused here, before any work, when a target
-    extends past the domain: under ``clamp`` and ``zero`` its total weight is
-    the whole translate sum of the odd kernel, which is 0."""
+def _checked_grid(fs, grid) -> tuple[np.ndarray, float]:
+    """The grid as floats and the one half-width every target shares."""
     widths = {f.half_width for f in fs}
     if len(widths) != 1:
         raise InputError(f"need targets on one shared domain, got half-widths {sorted(widths)}")
@@ -109,72 +125,94 @@ def _checked_grid(cfg: OperatorConfig, d: SymmetrizedDensity, fs, grid) -> tuple
     outside = np.abs(pts) > a
     if np.any(outside):
         raise InputError(f"x={pts[outside][0]} outside the target domain [-{a}, {a}]")
-    if cfg.n * a > _MAX_INDEX:
-        raise InputError(
-            f"n * half_width = {cfg.n * a:.3e} exceeds 2**52, where lattice "
-            f"indices are no longer exact in floating point"
-        )
-    if (cfg.eval_mode == "renormalized" and d.params.mode == "literal"
-            and any(f.extension != "none" for f in fs)):
-        raise _renormalize_error(0.0)
     return pts, a
 
 
-def _samples(cfg: OperatorConfig, fs, a: float, ks: np.ndarray) -> list[np.ndarray]:
-    """Each target of ``fs`` at the lattice points ``ks / n`` clipped to [-a, a],
-    then at -a and a for the clamp tails: one call per target."""
-    xs = np.append(np.clip(ks / cfg.n, -a, a), (-a, a))
+def _samples(fs, a: float, lattices) -> list[np.ndarray]:
+    """Each target of ``fs`` at the points ``ks / n`` of every ``(ks, n)`` in
+    ``lattices``, joined and clipped to [-a, a], then at -a and a for the clamp
+    tails: one call per target."""
+    xs = np.empty(sum(ks.size for ks, _ in lattices) + 2)
+    i = 0
+    for ks, n in lattices:
+        np.divide(ks, float(n), out=xs[i : i + ks.size])
+        i += ks.size
+    np.minimum(np.maximum(xs[:i], -a, out=xs[:i]), a, out=xs[:i])
+    xs[i:] = -a, a
     return [f(xs) for f in fs]
 
 
+def _chunk_samples(fs, a: float, windows, size: int, r0: int, first: np.ndarray, c: int):
+    """Samples of each target for the rows ``r0, r0 + 1, ...`` whose windows of
+    ``c`` points start at the lattice indices ``first``, and the sample index of
+    every window point.  Per n, the rows share one sample of their lattice span,
+    unless their windows lie so far apart that the span outgrows them; then each
+    window is sampled on its own points."""
+    lattices, offsets, base = [], np.empty(first.size, np.intp), 0
+    for i in range(r0 // size, (r0 + first.size - 1) // size + 1):
+        rows = slice(max(i * size - r0, 0), min((i + 1) * size - r0, first.size))
+        k = first[rows]
+        k_min, k_max = k.min(), k.max() + c - 1
+        if k_max - k_min < k.size * c:
+            ks, offsets[rows] = np.arange(k_min, k_max + 1), base + (k - k_min)
+        else:
+            ks, offsets[rows] = (k[:, None] + np.arange(c)).ravel(), base + c * np.arange(k.size)
+        lattices.append((ks, windows[i][0]))
+        base += ks.size
+    return _samples(fs, a, lattices), offsets[:, None] + np.arange(c)
+
+
 def _operator_pass(cfg: OperatorConfig, d: SymmetrizedDensity, fs, pts: np.ndarray, a: float,
-                   lattice=None) -> np.ndarray:
-    """Operator values of each target in ``fs`` at the flat points ``pts``, shape
-    ``(len(fs), pts.size)``.
+                   windows, lattice=None) -> np.ndarray:
+    """Operator values of each target in ``fs`` at the flat points ``pts`` for the
+    n of each ``_window`` in ``windows``, shape ``(len(fs), len(windows) * pts.size)``
+    with one column per (n, x), n first.
 
-    Each chunk samples the targets on its distinct lattice points and gathers,
-    unless its windows lie so far apart that their span outgrows the matrix.
-    ``lattice = (first, vals)`` supplies the samples instead: ``vals`` from
-    ``_samples`` on consecutive lattice points from ``first`` that hold every window.
+    Rows of consecutive windows of one width share chunks, and each chunk forms
+    one weight matrix and calls each target once.  ``lattice = (first, vals)``
+    supplies the samples of a single window instead: ``vals`` from ``_samples``
+    on consecutive lattice points from ``first`` that hold every window.
+    Renormalization failures are raised for the first such n.
     """
-    k_lo, k_hi, R, width = _window(cfg, d, a)
-    cols = min(width, _CHUNK)
-    rows = max(1, _CHUNK // cols)
-
-    u_all = cfg.n * pts
+    size = pts.size
+    rows_window = np.repeat(np.array(windows, dtype=float), size, axis=0).T
+    u_all = rows_window[0] * np.tile(pts, len(windows))
+    starts = _starts(u_all, rows_window)
     raw = np.zeros((len(fs), u_all.size))
     mass = np.zeros_like(u_all)
-    for i in range(0, u_all.size, rows):
-        u = u_all[i : i + rows, None]
-        start = _starts(u, k_lo, k_hi, R, width)
-        for j in range(0, width, cols):
-            k = start + np.arange(j, min(j + cols, width))
-            # u - (k - 1) and u - (k + 1) are exact where they lie near phi's cusp
-            # at 0 (Sterbenz); (u - k) + 1 and (u - k) - 1 would round there.
-            w = d._w_raw(u - (k - 1.0), u - (k + 1.0))
-            if lattice is not None:
-                vals, at = lattice[1], (k - lattice[0]).astype(np.intp)
-            else:
-                k_min, k_max = k[:, 0].min(), k[:, -1].max()
-                if k_max - k_min < k.size:
-                    ks, at = np.arange(k_min, k_max + 1), (k - k_min).astype(np.intp)
+    for width, group in itertools.groupby(range(len(windows)), key=lambda i: windows[i][4]):
+        group = list(group)
+        cols = min(width, _CHUNK)
+        rows = max(1, _CHUNK // (cols + 2))
+        stop = (group[-1] + 1) * size
+        for r0 in range(group[0] * size, stop, rows):
+            r1 = min(r0 + rows, stop)
+            u, s = u_all[r0:r1, None], starts[r0:r1, None]
+            for j in range(0, width, cols):
+                c = min(cols, width - j)
+                # Column i holds u - (s + j - 1 + i), so the weight of k = s + j + i
+                # reads u - (k - 1) and u - (k + 1) from columns i and i + 2: exact
+                # near phi's cusp at 0 (Sterbenz), where (u - k) + 1 and
+                # (u - k) - 1 would round.
+                w = d._w_raw(u - (s + np.arange(j - 1.0, j + c + 1)), 2)
+                if lattice is None:
+                    vals, at = _chunk_samples(fs, a, windows, size, r0, s[:, 0] + j, c)
                 else:
-                    ks, at = k.ravel(), np.arange(k.size).reshape(k.shape)
-                vals = _samples(cfg, fs, a, ks)
-            for out, v in zip(raw, vals):
-                out[i : i + rows] += (w * v[at]).sum(axis=1)
-            mass[i : i + rows] += w.sum(axis=1)
+                    vals, at = lattice[1], (s - lattice[0] + np.arange(j, j + c)).astype(np.intp)
+                for out, v in zip(raw, vals):
+                    out[r0:r1] += (w * v[at]).sum(axis=1)
+                mass[r0:r1] += w.sum(axis=1)
 
-    left, right = d._outside_masses(u_all, k_lo, k_hi)
+    left, right = d._outside_masses(u_all, rows_window[1], rows_window[2])
     clamp = np.array([f.extension == "clamp" for f in fs])
     if clamp.any():
         ends = np.array([v[-2:] for v in vals])[clamp]   # f(-a), f(a) of the last chunk
         raw[clamp] += left * ends[:, :1] + right * ends[:, 1:]
     if cfg.eval_mode == "renormalized":
         total = np.where([[f.extension == "none"] for f in fs], mass, mass + (left + right))
-        smallest = float(np.min(np.abs(total)))
-        if smallest < 1e-6:
-            raise _renormalize_error(smallest)
+        for smallest in np.abs(total).reshape(len(fs), len(windows), size).min(axis=(0, 2)):
+            if smallest < 1e-6:
+                raise _renormalize_error(float(smallest))
         raw /= total
     return raw
 
@@ -182,8 +220,8 @@ def _operator_pass(cfg: OperatorConfig, d: SymmetrizedDensity, fs, pts: np.ndarr
 def approximate_many(cfg: OperatorConfig, d: SymmetrizedDensity, fs, grid) -> np.ndarray:
     """Operator values of each target in the sequence ``fs`` along ``grid``, shape
     ``(len(fs),) + grid.shape``.  The targets share a half-width, not an extension."""
-    pts, a = _checked_grid(cfg, d, fs, grid)
-    values = _operator_pass(cfg, d, fs, pts.ravel(), a)
+    pts, a = _checked_grid(fs, grid)
+    values = _operator_pass(cfg, d, fs, pts.ravel(), a, [_window(cfg, d, fs, a)])
     return values.reshape((len(fs),) + pts.shape)
 
 
@@ -223,9 +261,10 @@ def stability_gaps(cfg: OperatorConfig, d: SymmetrizedDensity, pairs,
     so not on the tiling.
     """
     fs = [h for pair in pairs for h in pair]
-    pts, a = _checked_grid(cfg, d, fs, grid)
+    pts, a = _checked_grid(fs, grid)
     pts = pts.ravel()
-    k_lo, k_hi, R, width = _window(cfg, d, a)
+    win = _window(cfg, d, fs, a)
+    _, k_lo, k_hi, R, width = win
     # Outside the domain every sample equals the one just past its edge, so
     # the bound's window is cut to one lattice point beyond each end.
     u_min, u_max = cfg.n * pts.min(), cfg.n * pts.max()
@@ -233,7 +272,7 @@ def stability_gaps(cfg: OperatorConfig, d: SymmetrizedDensity, pairs,
     k1 = min(math.floor(u_max + R), k_hi + 1)
     # The hull also holds every operator window, which the domain ends may
     # shift past k0 or k1.
-    s_min, s_max = _starts(np.array([u_min, u_max]), k_lo, k_hi, R, width)
+    s_min, s_max = _starts(np.array([u_min, u_max]), win)
     first, last = min(k0, int(s_min)), max(k1, int(s_max) + width - 1)
     tile = max(1, _GROUP // len(fs) - 2)   # lattice points per tile, with -a and a beside them
     bounds = [-math.inf] * (len(fs) // 2)
@@ -243,7 +282,7 @@ def stability_gaps(cfg: OperatorConfig, d: SymmetrizedDensity, pairs,
         zeroed = np.append(inside, (True, True))
         vals = None   # frees the previous tile before the next is sampled
         vals = [np.where(zeroed, v, 0.0) if h.extension == "zero" else v
-                for h, v in zip(fs, _samples(cfg, fs, a, ks))]
+                for h, v in zip(fs, _samples(fs, a, [(ks, cfg.n)]))]
         # Clipped to the tile's lattice points, so -a and a never enter the bound.
         window = slice(*np.clip((k0 - t, k1 + 1 - t), 0, ks.size))
         for i, (f, g, vf, vg) in enumerate(zip(fs[0::2], fs[1::2], vals[0::2], vals[1::2])):
@@ -252,7 +291,8 @@ def stability_gaps(cfg: OperatorConfig, d: SymmetrizedDensity, pairs,
             if "none" in (f.extension, g.extension):
                 diff = diff[inside[window]]
             bounds[i] = max(bounds[i], float(diff.max(initial=-math.inf)))
-    values = _operator_pass(cfg, d, fs, pts, a, (first, vals) if tile > last - first else None)
+    values = _operator_pass(cfg, d, fs, pts, a, [win],
+                            (first, vals) if tile > last - first else None)
     gaps = np.max(np.abs(values[0::2] - values[1::2]), axis=1).tolist()
     return list(zip(gaps, bounds))
 

@@ -16,9 +16,9 @@ from typing import Sequence
 import numpy as np
 
 from .density import _UNIT_ROUNDOFF, SymmetrizedDensity
-from .errors import InputError
-from .moduli import modulus, second_modulus
-from .operator import OperatorConfig, stability_gaps, sup_error
+from .errors import InputError, NNApproxError
+from .moduli import _moduli
+from .operator import OperatorConfig, _checked_grid, _operator_pass, _window, stability_gaps
 from .targets import FunctionSpec
 
 __all__ = [
@@ -82,21 +82,37 @@ def convergence_sweep(
     n_list: Sequence[int],
     grid,
 ) -> list[ConvergenceRecord]:
-    """One record per n: sup-error on ``grid`` plus modulus bounds at 1/n."""
+    """One record per n: sup-error on ``grid`` plus modulus bounds at 1/n.
+
+    One operator pass serves the whole ladder.  Before it, each n in turn is
+    checked and its moduli are taken; a failure there is raised after the pass
+    over the n before it, so errors come in the order of a loop over n (operator
+    checks, renormalization, modulus grid).  An n's ``wall_time_ms`` is its own
+    check and moduli time plus the pass time times its share of kernel weights.
+    """
     ns = _validate_n_list(n_list)
     # The scaled second moment depends on the offset modulo 1 only, not on n.
     m2 = float(np.max(d.second_lattice_moment(_U_GRID, cfg_template.truncation_eps)))
-    records = []
-    for n in ns:
+    pts, a = _checked_grid([f], grid)
+    windows, moduli, own_ms, failure = [], [], [], None
+    try:
+        for n in ns:
+            start = time.perf_counter()
+            windows.append(_window(replace(cfg_template, n=n), d, [f], a))
+            t = 1.0 / n
+            moduli.append(_moduli(f, t, t / 4.0))
+            own_ms.append((time.perf_counter() - start) * 1e3)
+    except NNApproxError as exc:
+        failure = exc
+    if windows:
         start = time.perf_counter()
-        cfg = replace(cfg_template, n=n)
-        err = sup_error(cfg, d, f, grid)
-        t = 1.0 / n
-        om = modulus(f, t, t / 4.0).value
-        om2 = second_modulus(f, t, t / 4.0).value
-        elapsed_ms = (time.perf_counter() - start) * 1e3
-        records.append(ConvergenceRecord(n, err, om, om2, m2, elapsed_ms))
-    return records
+        values = _operator_pass(cfg_template, d, [f], pts.ravel(), a, windows)
+        errors = np.max(np.abs(values.reshape(len(windows), -1) - f(pts).ravel()), axis=1)
+        ms_per_weight = (time.perf_counter() - start) * 1e3 / sum(w[4] for w in windows)
+    if failure is not None:
+        raise failure
+    return [ConvergenceRecord(n, float(err), om, om2, m2, ms + ms_per_weight * w[4])
+            for n, err, (om, om2), ms, w in zip(ns, errors, moduli, own_ms, windows)]
 
 
 def fit_loglog_slope(records: Sequence[ConvergenceRecord]) -> RateFit:

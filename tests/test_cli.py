@@ -196,7 +196,8 @@ class TestValidationExits:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [["moduli", "--t-list", "1e-300"],
-                                      ["converge", "--n-list", "8,1099511627776"]])
+                                      ["converge", "--n-list", "8,1099511627776"],
+                                      ["converge", "--n-list", "16777216,9007199254740992"]])
     def test_modulus_grid_above_budget_rejected(self, argv, tmp_path, capsys):
         # Both asked numpy for a grid of about 1e300 or 9e12 points.
         out = tmp_path / "m.csv"

@@ -1,16 +1,21 @@
 """Sweep orchestration, rate fitting, second-moment uniformity, serialization."""
 
+import csv
 import dataclasses
+import io
 import json
 import math
 
 import numpy as np
 import pytest
 
+import nnapprox.operator as operator_module
 from nnapprox import (
     ActivationParams,
     ConvergenceRecord,
+    FunctionSpec,
     InputError,
+    NNApproxError,
     OperatorConfig,
     RateFit,
     SymmetrizedDensity,
@@ -18,10 +23,13 @@ from nnapprox import (
     convergence_sweep,
     fit_loglog_slope,
     make_function,
+    modulus,
     records_to_csv,
     records_to_json,
+    second_modulus,
     second_moment_uniformity,
     stability_suite,
+    sup_error,
 )
 from nnapprox.cli import main
 from nnapprox.study import CSV_COLUMNS, format_table
@@ -137,6 +145,123 @@ def test_jackson_bound_holds_on_every_sweep_row(kernel, eval_mode):
         for r in convergence_sweep(f, d, cfg, [8, 16, 32, 64, 128, 256, 512], grid):
             bound = r.omega_bound * (1.0 + math.sqrt(r.second_moment_scaled))
             assert r.sup_error <= bound, (entry.name, r)
+
+
+def _per_n_loop(f, d, cfg, ns, grid):
+    """What a sweep returns, from one ``sup_error`` and one modulus pair per n in turn,
+    or the type and message of the first error that loop raises."""
+    try:
+        m2 = float(np.max(d.second_lattice_moment(np.linspace(0.0, 1.0, 17, endpoint=False),
+                                                  cfg.truncation_eps)))
+        rows = []
+        for n in ns:
+            err = sup_error(dataclasses.replace(cfg, n=n), d, f, grid)
+            t = 1.0 / n
+            rows.append((n, err, modulus(f, t, t / 4.0).value,
+                         second_modulus(f, t, t / 4.0).value, m2))
+        return rows
+    except NNApproxError as exc:
+        return type(exc), str(exc)
+
+
+def _sweep(f, d, cfg, ns, grid):
+    """``convergence_sweep`` in the shape of ``_per_n_loop``."""
+    try:
+        return [(r.n, r.sup_error, r.omega_bound, r.omega2_bound, r.second_moment_scaled)
+                for r in convergence_sweep(f, d, cfg, ns, grid)]
+    except NNApproxError as exc:
+        return type(exc), str(exc)
+
+
+# (q, theta, alpha, mode, eval modes): alpha 1, 0.5 and 0.3, the heavy tail, q < 1,
+# and the literal kernel, whose renormalized runs are refused.
+SWEEP_KERNELS = {
+    "alpha=1": (2.0, 1.0, 1.0, "sigmoid"),
+    "alpha=0.5": (2.0, 1.0, 0.5, "sigmoid"),
+    "alpha=0.3": (2.0, 1.0, 0.3, "sigmoid"),
+    "heavy-tail": (1.1, 0.5, 0.5, "sigmoid"),
+    "q<1": (0.5, 1.0, 0.7, "sigmoid"),
+    "literal": (2.0, 1.0, 1.0, "literal"),
+}
+
+
+@pytest.mark.parametrize("eval_mode", ["raw", "renormalized"])
+@pytest.mark.parametrize("extension", ["clamp", "zero", "none"])
+@pytest.mark.parametrize("kernel", list(SWEEP_KERNELS))
+def test_sweep_rows_equal_per_n_calls(kernel, extension, eval_mode):
+    # n = 1, 3, 8 and 16 have windows capped by their lattices at alpha = 1, so
+    # the ladder spans several width groups; 64 and 512 share one there.  The
+    # grid is shuffled, two-dimensional and holds both domain ends.
+    d = SymmetrizedDensity(ActivationParams(*SWEEP_KERNELS[kernel]))
+    f = make_function("runge", half_width=1.3, extension=extension)
+    grid = np.random.default_rng(7).permutation(np.linspace(-1.3, 1.3, 40)).reshape(5, 8)
+    cfg = OperatorConfig(8, eval_mode=eval_mode)
+    ns = [1, 3, 8, 16, 64, 512]
+    want = _per_n_loop(f, d, cfg, ns, grid)
+    assert _sweep(f, d, cfg, ns, grid) == want
+    assert isinstance(want, list) or kernel == "literal"
+
+
+def test_sweep_windows_wider_than_the_weight_matrix(monkeypatch):
+    # With 64 weights per matrix, every window of n >= 64 spans several column blocks.
+    monkeypatch.setattr(operator_module, "_CHUNK", 64)
+    d = SymmetrizedDensity(ActivationParams(2.0, 1.0, 0.5))
+    cfg, ns, grid = OperatorConfig(8), [8, 64, 512], np.linspace(-0.8, 0.8, 21)
+    for name, params in (("sin", (1.7,)), ("abs_pow", (0.5,))):
+        f = make_function(name, params)
+        assert _sweep(f, d, cfg, ns, grid) == _per_n_loop(f, d, cfg, ns, grid)
+
+
+def test_sweep_calls_the_target_once_per_weight_matrix(default_density, monkeypatch):
+    # Widths 17, 33, 65 and 111 for n = 8, 16, 32 and 64 .. 512: the last group's
+    # 244 rows fill two matrices, so five matrices serve the seven n.  Each n adds
+    # one modulus sample, and the grid itself is sampled once.
+    matrices = []
+    w_raw = default_density._w_raw
+    monkeypatch.setattr(default_density, "_w_raw",
+                        lambda *args: matrices.append(1) or w_raw(*args))
+    calls = []
+    sin = make_function("sin")
+    f = FunctionSpec(sin.name, sin.parameters, sin.half_width, sin.extension,
+                     lambda x: calls.append(x.size) or sin.fn(x))
+    ns = [8, 16, 32, 64, 128, 256, 512]
+    convergence_sweep(f, default_density, OperatorConfig(8), ns, np.linspace(-0.8, 0.8, 61))
+    assert len(matrices) == 5
+    assert len(calls) == len(matrices) + len(ns) + 1
+
+
+@pytest.mark.parametrize("mode, eval_mode, ns", [
+    ("sigmoid", "renormalized", [8, 2**40]),           # later modulus grid over budget
+    ("sigmoid", "renormalized", [2**24, 2**53]),       # earlier grid over budget, later n*a > 2**52
+    ("sigmoid", "renormalized", [8, 2**53]),           # later n*a > 2**52
+    ("literal", "renormalized", [8, 2**40]),           # renormalization fails before the budget
+    ("literal", "renormalized", [1, 2, 3, 2**53]),
+    ("literal", "raw", [2**24, 2**53]),
+])
+def test_sweep_errors_come_in_per_n_order(mode, eval_mode, ns):
+    d = SymmetrizedDensity(ActivationParams(2.0, 1.0, 1.0, mode=mode))
+    f = make_function("sin", extension="none")
+    cfg, grid = OperatorConfig(8, eval_mode=eval_mode), np.linspace(-0.8, 0.8, 11)
+    want = _per_n_loop(f, d, cfg, ns, grid)
+    assert not isinstance(want, list)
+    assert _sweep(f, d, cfg, ns, grid) == want
+
+
+def test_timed_rows_are_positive_and_untimed_rows_zero(default_density, tmp_path, capsys):
+    records = convergence_sweep(make_function("sin"), default_density, OperatorConfig(8),
+                                [8, 16, 512], np.linspace(-0.8, 0.8, 31))
+    assert all(0.0 < r.wall_time_ms < math.inf for r in records)
+    for flags, timed in (([], False), (["--timed-output"], True)):
+        out = tmp_path / "c.csv"
+        assert main(["converge", "--grid-points", "31", "--out", str(out), *flags]) == 0
+        rows = list(csv.DictReader(io.StringIO(out.read_text().split("\n#")[0])))
+        times = [float(row["wall_time_ms"]) for row in rows]
+        assert len(times) == 7
+        if timed:
+            assert all(0.0 < t < math.inf for t in times)
+        else:
+            assert times == [0.0] * 7
+    capsys.readouterr()
 
 
 class TestSecondMomentUniformity:
