@@ -9,22 +9,19 @@ closed-form tails; ``none`` keeps the in-domain points only.  In-domain points
 farther from nx than the partition radius R carry less than the truncation
 tolerance in total and are left out, so a point costs at most 2R+1 terms.
 
-A grid is evaluated in chunks of rows, one row per (n, x): a convergence sweep
-evaluates its whole n ladder in one pass, and the rows of consecutive n whose
-windows have one width share chunks.  Each chunk forms a matrix of kernel
-weights, one row per grid point and one column per lattice point of its
-window, from one array of the abscissas u - j that holds each window's two
-outer neighbours too; each abscissa's exponent is formed once, and the weight
-of column k reads abscissa columns k and k + 2.  The weights do not depend on
-the target, so one matrix serves every target of a call.  Each target is
-called once per chunk, on the chunk's lattice abscissas of every n with -a and
-a appended for the clamp tails, unless ``stability_gaps`` has already sampled
-one lattice that holds every window, which the same chunk loop then reads.
-Each target's samples are weighted and reduced row by row with numpy's
-pairwise sum, so every output depends only on its own x and n and never on
-the grid's order, its chunking, the other n or the other targets.
-Renormalized mode divides by the total weight (window plus tails), which keeps
-constants exactly reproduced.
+One pass evaluates every (n, x) row of a grid and a list of n, in chunks of
+rows whose windows share one width.  Each chunk forms a matrix of kernel
+weights, one column per lattice point of a row's window, from one array of
+the abscissas u - j of each window and its two outer neighbours, so each
+exponent is formed once.  The weights do not depend on the target, so one
+matrix serves every target of a call.  Each target is called once per chunk,
+on the chunk's lattice abscissas with -a and a appended for the clamp tails,
+unless ``stability_gaps`` has already sampled one lattice that holds every
+window, which the same chunk loop then reads.  Each target's samples are
+weighted and reduced row by row with numpy's pairwise sum, so every output
+depends only on its own x and n and never on the grid's order, its chunking,
+the other n or the other targets.  Renormalized mode divides by the total
+weight (window plus tails), which keeps constants exactly reproduced.
 """
 
 from __future__ import annotations
@@ -132,13 +129,8 @@ def _samples(fs, a: float, lattices) -> list[np.ndarray]:
     """Each target of ``fs`` at the points ``ks / n`` of every ``(ks, n)`` in
     ``lattices``, joined and clipped to [-a, a], then at -a and a for the clamp
     tails: one call per target."""
-    xs = np.empty(sum(ks.size for ks, _ in lattices) + 2)
-    i = 0
-    for ks, n in lattices:
-        np.divide(ks, float(n), out=xs[i : i + ks.size])
-        i += ks.size
-    np.minimum(np.maximum(xs[:i], -a, out=xs[:i]), a, out=xs[:i])
-    xs[i:] = -a, a
+    xs = np.concatenate([ks / float(n) for ks, n in lattices] + [(-a, a)])
+    np.minimum(np.maximum(xs, -a, out=xs), a, out=xs)
     return [f(xs) for f in fs]
 
 
