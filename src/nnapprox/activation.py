@@ -79,43 +79,34 @@ def _stable_expit(t: np.ndarray) -> np.ndarray:
         return np.exp(np.minimum(t, 0.0)) / (1.0 + np.exp(-np.abs(t)))
 
 
-def _expit_parts(t: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``(t, min(t, 0), max(t, 0), 1 + e^{-|t|})``: all that ``_parts_diff`` reads of
-    one argument, so an argument shared by two differences is formed once."""
-    with np.errstate(under="ignore"):
-        return t, np.minimum(t, 0.0), np.maximum(t, 0.0), 1.0 + np.exp(-np.abs(t))
-
-
 def _expit_diff(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    """expit(hi) - expit(lo) for hi >= lo, to a few ulp relative, with no cancellation."""
-    return _parts_diff(_expit_parts(hi), _expit_parts(lo))
-
-
-def _parts_diff(hi: tuple[np.ndarray, ...], lo: tuple[np.ndarray, ...]) -> np.ndarray:
-    """``_expit_diff`` from the ``_expit_parts`` of its two arguments.
+    """expit(hi) - expit(lo) for hi >= lo, to a few ulp relative, with no cancellation.
 
     One identity whose exponents are never positive:
     ``-expm1(lo - hi) e^{min(hi, 0) - max(lo, 0)} / ((1 + e^{-|hi|})(1 + e^{-|lo|}))``.
     At most one of min(hi, 0) and max(lo, 0) is nonzero, so every exponential
     takes an exact argument.  ``fmin`` maps the NaN of ``inf - inf`` to 0, and
     ``0.0 - expm1`` makes ``hi == lo`` give +0 where negation would give -0.
+    The kernel weights of ``SymmetrizedDensity._w_raw`` follow the same steps.
     """
-    (t_hi, neg_hi, _, den_hi), (t_lo, _, pos_lo, den_lo) = hi, lo
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        return ((0.0 - np.expm1(np.fmin(t_lo - t_hi, 0.0)))
-                * np.exp(neg_hi - pos_lo) / (den_hi * den_lo))
+        return ((0.0 - np.expm1(np.fmin(lo - hi, 0.0)))
+                * np.exp(np.minimum(hi, 0.0) - np.maximum(lo, 0.0))
+                / ((1.0 + np.exp(-np.abs(hi))) * (1.0 + np.exp(-np.abs(lo)))))
 
 
-def _exponent_argument(params: ActivationParams, x: np.ndarray) -> np.ndarray:
-    """Signed argument fed to the logistic: rate * sign(x) * |x|**alpha.
+def _exponent_argument(params: ActivationParams, x: np.ndarray, out=None) -> np.ndarray:
+    """Signed argument fed to the logistic: rate * sign(x) * |x|**alpha, written
+    into ``out`` (an array of x's shape that is not x) when given.
 
     The one exponent formula of the package.  Literal mode evaluates it at
     ``-|x|``, which gives ``-rate * |x|**alpha``.
     """
-    if params.mode == "literal":
-        x = -np.abs(x)
+    t = np.abs(x, out=np.empty(np.shape(x)) if out is None else out)
     with np.errstate(over="ignore", under="ignore"):
-        return np.copysign(params.rate * np.abs(x) ** params.alpha, x)
+        t **= params.alpha
+        t *= params.rate
+    return np.negative(t, out=t) if params.mode == "literal" else np.copysign(t, x, out=t)
 
 
 def activation_value(params: ActivationParams, x):

@@ -25,8 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .activation import (ActivationParams, _exponent_argument, _expit_parts, _parts_diff,
-                         _stable_expit)
+from .activation import ActivationParams, _exponent_argument, _stable_expit
 from .errors import InputError, NumericalError
 
 __all__ = ["MomentReport", "SymmetrizedDensity"]
@@ -143,26 +142,57 @@ class SymmetrizedDensity:
     def _phi(self, x: np.ndarray) -> np.ndarray:
         return _stable_expit(_exponent_argument(self.params, x))
 
-    def _w_raw(self, x: np.ndarray, lag: int) -> np.ndarray:
-        """Kernel weights (phi(x[..., c]) - phi(x[..., c + lag])) / 2 along the last axis
-        of ``x``: the kernel at y from ``y + 1`` and ``y - 1``, which callers form from
-        their own exact offsets.  Each abscissa's exponent is formed once, however
-        many weights it feeds."""
-        parts = _expit_parts(_exponent_argument(self.params, x))
-        right = tuple(p[..., :-lag] for p in parts)
-        left = tuple(p[..., lag:] for p in parts)
-        if self.params.mode == "sigmoid":
-            return 0.5 * _parts_diff(right, left)
-        # Literal phi is not monotone, so the larger exponent leads the difference.
-        return np.where(right[0] >= left[0], 0.5 * _parts_diff(right, left),
-                        -0.5 * _parts_diff(left, right))
+    def _w_raw(self, x: np.ndarray, lag: int, scratch: np.ndarray) -> np.ndarray:
+        """Kernel weights (phi(x[:, c]) - phi(x[:, c + lag])) / 2 of the C-ordered
+        ``(r, c + lag)`` matrix ``x``: the kernel at y from ``y + 1`` and ``y - 1``,
+        which callers form from their own exact offsets.  Each abscissa's
+        exponent is formed once, however many weights it feeds.
+
+        Every array lives in caller memory: ``x`` is overwritten, ``scratch``
+        holds three rows of at least ``x.size`` doubles, and the weights come
+        back as a C-ordered ``(r, c)`` view of x's memory.  The steps and bits
+        are those of ``0.5 * _expit_diff(right, left)``.  Literal phi is not
+        monotone, so there the larger exponent leads and the sign goes with it;
+        as its exponents are never positive, ``e^{min(hi, 0) - max(lo, 0)}`` is
+        then ``e^{max(right, left)}``.
+        """
+        r, c = x.shape[0], x.shape[1] - lag
+        t = _exponent_argument(self.params, x, scratch[0, :x.size].reshape(x.shape))
+        right, left = t[:, :-lag], t[:, lag:]
+        w = x.reshape(-1)[:r * c].reshape(r, c)
+        rc = scratch[1:, :r * c].reshape(2, r, c)
+        sigmoid = self.params.mode == "sigmoid"
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            np.subtract(left, right, out=w)
+            if not sigmoid:   # lo - hi of the larger and the smaller exponent
+                np.negative(np.abs(w, out=w), out=w)
+            np.fmin(w, 0.0, out=w)
+            np.expm1(w, out=w)
+            np.subtract(0.0, w, out=w)
+            if sigmoid:
+                neg = np.minimum(t, 0.0, out=scratch[1, :x.size].reshape(x.shape))
+                pos = np.maximum(t, 0.0, out=scratch[2, :x.size].reshape(x.shape))
+                e = np.subtract(neg[:, :-lag], pos[:, lag:], out=neg[:, :-lag])
+                scale = 0.5
+            else:   # -0.5 where the left exponent leads
+                e = np.maximum(right, left, out=rc[0])
+                scale = np.subtract(0.5, np.less(right, left, out=rc[1]), out=rc[1])
+            w *= np.exp(e, out=e)
+            den = np.abs(t, out=t)
+            np.negative(den, out=den)
+            np.exp(den, out=den)
+            den += 1.0
+            w /= np.multiply(den[:, :-lag], den[:, lag:], out=rc[0])
+            w *= scale
+        return w
 
     def value(self, x):
         """Kernel value (phi(x+1) - phi(x-1)) / 2 at scalar or array ``x``."""
         arr = np.asarray(x, dtype=float)
         if not np.all(np.isfinite(arr)):
             raise InputError("kernel input must be finite")
-        out = self._w_raw(np.stack((arr + 1.0, arr - 1.0), axis=-1), 1)[..., 0]
+        pairs = np.stack((arr + 1.0, arr - 1.0), axis=-1).reshape(-1, 2)
+        out = self._w_raw(pairs, 1, np.empty((3, pairs.size))).reshape(arr.shape)
         if np.ndim(x) == 0:
             return float(out)
         return out

@@ -13,15 +13,21 @@ One pass evaluates every (n, x) row of a grid and a list of n, in chunks of
 rows whose windows share one width.  Each chunk forms a matrix of kernel
 weights, one column per lattice point of a row's window, from one array of
 the abscissas u - j of each window and its two outer neighbours, so each
-exponent is formed once.  The weights do not depend on the target, so one
-matrix serves every target of a call.  Each target is called once per chunk,
-on the chunk's lattice abscissas with -a and a appended for the clamp tails,
-unless ``stability_gaps`` has already sampled one lattice that holds every
-window, which the same chunk loop then reads.  Each target's samples are
-weighted and reduced row by row with numpy's pairwise sum, so every output
-depends only on its own x and n and never on the grid's order, its chunking,
-the other n or the other targets.  Renormalized mode divides by the total
-weight (window plus tails), which keeps constants exactly reproduced.
+exponent is formed once.  The abscissas and every intermediate of their
+weights go into one workspace that the call allocates once, sized to its
+largest chunk.  The rows are walked in blocks of whole chunks, at most
+``_CHUNK`` rows each, and each block forms its own window fields, starts,
+outside masses and clamp tails, so beyond its output a pass needs bounded
+memory for any grid, ladder and n*a.  The weights do not depend on the
+target, so one matrix serves every target of a call.  Each target is called
+once per chunk, on the chunk's lattice abscissas with -a and a appended for
+the clamp tails, unless ``stability_gaps`` has already sampled one lattice
+that holds every window, which the same chunk loop then reads.  Each
+target's samples are weighted and reduced row by row with numpy's pairwise
+sum, so every output depends only on its own x and n and never on the grid's
+order, its chunking, the other n or the other targets.  Renormalized mode
+divides by the total weight (window plus tails), which keeps constants
+exactly reproduced.
 """
 
 from __future__ import annotations
@@ -47,7 +53,8 @@ __all__ = [
 ]
 
 _EVAL_MODES = ("raw", "renormalized")
-_CHUNK = 1 << 14           # kernel weights per temporary matrix; bounds memory for any n*a
+_CHUNK = 1 << 14           # abscissas per weight matrix and rows per block: bounds a pass's
+                           # workspace and block arrays for any grid and n*a
 _GROUP = 1 << 20           # target samples per stability tile; bounds memory for any n*a too
 
 
@@ -154,6 +161,29 @@ def _chunk_samples(fs, a: float, windows, size: int, r0: int, first: np.ndarray,
     return _samples(fs, a, lattices), offsets[:, None] + np.arange(c)
 
 
+def _chunks(windows, size: int):
+    """``(r0, r1, width)`` of each weight matrix of a pass over ``size`` points per
+    window: runs of consecutive rows whose windows share one width, at most
+    ``_CHUNK // (cols + 2)`` of them, where ``cols`` is the width capped at ``_CHUNK``."""
+    for width, group in itertools.groupby(range(len(windows)), key=lambda i: windows[i][4]):
+        group = list(group)
+        rows = max(1, _CHUNK // (min(width, _CHUNK) + 2))
+        stop = (group[-1] + 1) * size
+        for r0 in range(group[0] * size, stop, rows):
+            yield r0, min(r0 + rows, stop), width
+
+
+def _blocks(chunks):
+    """Consecutive chunks grouped into lists of at most ``_CHUNK`` rows in all."""
+    block = []
+    for chunk in chunks:
+        if block and chunk[1] - block[0][0] > _CHUNK:
+            yield block
+            block = []
+        block.append(chunk)
+    yield block
+
+
 def _operator_pass(cfg: OperatorConfig, d: SymmetrizedDensity, fs, pts: np.ndarray, a: float,
                    windows, lattice=None) -> np.ndarray:
     """Operator values of each target in ``fs`` at the flat points ``pts`` for the
@@ -164,48 +194,58 @@ def _operator_pass(cfg: OperatorConfig, d: SymmetrizedDensity, fs, pts: np.ndarr
     one weight matrix and calls each target once.  ``lattice = (first, vals)``
     supplies the samples of a single window instead: ``vals`` from ``_samples``
     on consecutive lattice points from ``first`` that hold every window.
-    Renormalization failures are raised for the first such n.
+    Renormalization failures are raised for the first such n, after the pass.
     """
     size = pts.size
-    rows_window = np.repeat(np.array(windows, dtype=float), size, axis=0).T
-    u_all = rows_window[0] * np.tile(pts, len(windows))
-    starts = _starts(u_all, rows_window)
-    raw = np.zeros((len(fs), u_all.size))
-    mass = np.zeros_like(u_all)
-    for width, group in itertools.groupby(range(len(windows)), key=lambda i: windows[i][4]):
-        group = list(group)
-        cols = min(width, _CHUNK)
-        rows = max(1, _CHUNK // (cols + 2))
-        stop = (group[-1] + 1) * size
-        for r0 in range(group[0] * size, stop, rows):
-            r1 = min(r0 + rows, stop)
-            u, s = u_all[r0:r1, None], starts[r0:r1, None]
+    fields = np.array(windows, dtype=float)
+    clamp = np.array([f.extension == "clamp" for f in fs])
+    none = np.array([[f.extension == "none"] for f in fs])
+    raw = np.zeros((len(fs), len(windows) * size))
+    smallest = np.full(len(windows), np.inf)
+    # One workspace per call, sized to its largest matrix: the abscissas, which
+    # become the weights, and three rows of scratch for _w_raw.
+    ws = np.empty((4, max((r1 - r0) * (min(width, _CHUNK) + 2)
+                          for r0, r1, width in _chunks(windows, size))))
+    for block in _blocks(_chunks(windows, size)):
+        b0, b1 = block[0][0], block[-1][1]
+        n_index, x_index = np.divmod(np.arange(b0, b1), size)
+        window = fields[n_index].T
+        u_all = window[0] * pts[x_index]
+        starts = _starts(u_all, window)
+        mass = np.zeros(b1 - b0)
+        for r0, r1, width in block:
+            cols = min(width, _CHUNK)
+            u, s = u_all[r0 - b0:r1 - b0, None], starts[r0 - b0:r1 - b0, None]
             for j in range(0, width, cols):
                 c = min(cols, width - j)
                 # Column i holds u - (s + j - 1 + i), so the weight of k = s + j + i
                 # reads u - (k - 1) and u - (k + 1) from columns i and i + 2: exact
                 # near phi's cusp at 0 (Sterbenz), where (u - k) + 1 and
                 # (u - k) - 1 would round.
-                w = d._w_raw(u - (s + np.arange(j - 1.0, j + c + 1)), 2)
+                x = ws[0, :(r1 - r0) * (c + 2)].reshape(-1, c + 2)
+                np.add(s, np.arange(j - 1.0, j + c + 1), out=x)
+                w = d._w_raw(np.subtract(u, x, out=x), 2, ws[1:])
                 if lattice is None:
                     vals, at = _chunk_samples(fs, a, windows, size, r0, s[:, 0] + j, c)
                 else:
                     vals, at = lattice[1], (s - lattice[0] + np.arange(j, j + c)).astype(np.intp)
                 for out, v in zip(raw, vals):
                     out[r0:r1] += (w * v[at]).sum(axis=1)
-                mass[r0:r1] += w.sum(axis=1)
+                mass[r0 - b0:r1 - b0] += w.sum(axis=1)
 
-    left, right = d._outside_masses(u_all, rows_window[1], rows_window[2])
-    clamp = np.array([f.extension == "clamp" for f in fs])
-    if clamp.any():
-        ends = np.array([v[-2:] for v in vals])[clamp]   # f(-a), f(a) of the last chunk
-        raw[clamp] += left * ends[:, :1] + right * ends[:, 1:]
-    if cfg.eval_mode == "renormalized":
-        total = np.where([[f.extension == "none"] for f in fs], mass, mass + (left + right))
-        for smallest in np.abs(total).reshape(len(fs), len(windows), size).min(axis=(0, 2)):
-            if smallest < 1e-6:
-                raise _renormalize_error(float(smallest))
-        raw /= total
+        left, right = d._outside_masses(u_all, window[1], window[2])
+        part = raw[:, b0:b1]
+        if clamp.any():
+            ends = np.array([v[-2:] for v in vals])[clamp]   # f(-a), f(a)
+            part[clamp] += left * ends[:, :1] + right * ends[:, 1:]
+        if cfg.eval_mode == "renormalized":
+            total = np.where(none, mass, mass + (left + right))
+            np.minimum.at(smallest, n_index, np.abs(total).min(axis=0))
+            with np.errstate(divide="ignore", invalid="ignore"):   # a failing n raises below
+                part /= total
+    for low in smallest:
+        if low < 1e-6:
+            raise _renormalize_error(float(low))
     return raw
 
 

@@ -1,16 +1,17 @@
 """Adaptive composite Simpson quadrature with a global error budget.
 
-The intervals live in one ``(7, m)`` table, a column per interval, with the
-rows ``[xa, xb, f(xa), f(lm), f(xm), f(rm), f(xb)]``: the two ends, then the
-integrand at the ends, at the midpoint ``xm`` and at the quarter points ``lm``
-and ``rm``.  Each sweep computes from it the whole-interval Simpson sum ``S1``,
-the two-half sum ``S2`` and their difference, whose interval-halving
-Richardson correction is ``(S2 - S1) / 15``.  Refinement splits every
-interval whose difference exceeds its share of the budget, so a single hard
-spot (an integrable cusp, say) may claim almost the whole tolerance instead
-of a length-proportional sliver.  A split interval hands its five stencil
-values to its two halves, which need only their new quarter points, and all
-of a sweep's evaluations go into one vectorized call.
+The intervals live in one ``(9, m)`` table, a column per interval, with the
+rows ``[xa, xb, f(xa), f(lm), f(xm), f(rm), f(xb), S2, S2 - S1]``: the two
+ends, then the integrand at the ends, at the midpoint ``xm`` and at the
+quarter points ``lm`` and ``rm``, then the two-half Simpson sum ``S2`` and its
+difference from the whole-interval sum ``S1``, whose interval-halving
+Richardson correction is ``(S2 - S1) / 15``.  Both sums are formed once, when
+the interval is made.  Refinement splits every interval whose difference
+exceeds its share of the budget, so a single hard spot (an integrable cusp,
+say) may claim almost the whole tolerance instead of a length-proportional
+sliver.  A split interval hands its five stencil values to its two halves,
+which need only their new quarter points, and all of a sweep's evaluations go
+into one vectorized call.
 """
 
 from __future__ import annotations
@@ -62,13 +63,9 @@ def adaptive_simpson(
     table = _stencil(fn, edges[:-1], edges[1:], f_edges[:-1], f_mid, f_edges[1:])
 
     for _ in range(_MAX_SWEEPS):
-        xa, xb, fa, flm, fm, frm, fb = table
-        xm = 0.5 * (xa + xb)
-        s1 = (xb - xa) / 6.0 * (fa + 4.0 * fm + fb)
-        s2 = (xm - xa) / 6.0 * (fa + 4.0 * flm + fm) + (xb - xm) / 6.0 * (fm + 4.0 * frm + fb)
         # Budget with the raw halving difference: the /15 Richardson factor only
         # holds for smooth integrands and undershoots at integrable cusps.
-        err = s2 - s1
+        s2, err = table[7:]
         abs_err = np.abs(err)
         total = math.fsum(abs_err.tolist())
         if total <= tol:
@@ -82,12 +79,12 @@ def adaptive_simpson(
                 f"error {total:.3e} > tol {tol:.3e}"
             )
 
-        mid = xm[split]
-        xa, xb, fa, flm, fm, frm, fb = table[:, split]
+        xa, xb, fa, flm, fm, frm, fb = table[:7].compress(split, axis=1)
+        mid = 0.5 * (xa + xb)
         if np.any(mid <= xa) or np.any(mid >= xb):
             raise NumericalError("quadrature interval underflow before convergence")
         halves = np.concatenate([[xa, mid, fa, flm, fm], [mid, xb, fm, frm, fb]], axis=1)
-        table = np.concatenate([table[:, ~split], _stencil(fn, *halves)], axis=1)
+        table = np.concatenate([table.compress(~split, axis=1), _stencil(fn, *halves)], axis=1)
 
     raise NumericalError(
         f"quadrature did not reach tol {tol:.3e} within {_MAX_SWEEPS} refinement sweeps"
@@ -98,7 +95,10 @@ def _stencil(fn, xa, xb, fa, fm, fb) -> np.ndarray:
     """Table columns for intervals whose end and midpoint values are known."""
     xm = 0.5 * (xa + xb)
     f = _eval(fn, np.concatenate([0.5 * (xa + xm), 0.5 * (xm + xb)]))
-    return np.array([xa, xb, fa, f[:xa.size], fm, f[xa.size:], fb])
+    flm, frm = f[:xa.size], f[xa.size:]
+    s1 = (xb - xa) / 6.0 * (fa + 4.0 * fm + fb)
+    s2 = (xm - xa) / 6.0 * (fa + 4.0 * flm + fm) + (xb - xm) / 6.0 * (fm + 4.0 * frm + fb)
+    return np.array([xa, xb, fa, flm, fm, frm, fb, s2, s2 - s1])
 
 
 def _eval(fn, x: np.ndarray) -> np.ndarray:

@@ -107,7 +107,9 @@ def convergence_sweep(
     if windows:
         start = time.perf_counter()
         values = _operator_pass(cfg_template, d, [f], pts.ravel(), a, windows)
-        errors = np.max(np.abs(values.reshape(len(windows), -1) - f(pts).ravel()), axis=1)
+        values = values.reshape(len(windows), -1)
+        values -= f(pts).ravel()
+        errors = np.max(np.abs(values, out=values), axis=1)
         ms_per_weight = (time.perf_counter() - start) * 1e3 / sum(w[4] for w in windows)
     if failure is not None:
         raise failure

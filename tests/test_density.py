@@ -24,6 +24,7 @@ from nnapprox import (
     NumericalError,
     SymmetrizedDensity,
 )
+from nnapprox.activation import _expit_diff
 
 
 def wide_lattice_sum(d, u, radius, power):
@@ -435,6 +436,52 @@ def test_radius_bounds_true_tail_within_factor_two(kernel, power):
     tails = [brute_force_tails(d.params, u, half, 3 * R, R, power) for u in (0.0, 0.37, 0.999)]
     assert max(at_r for _, at_r in tails) <= tol
     assert max(at_half for at_half, _ in tails) > tol
+
+
+def _reference_weights(p, x):
+    """The weights of the abscissa matrix ``x`` at lag 2 from the allocating
+    formulas: each exponent as ``rate * |x|**alpha`` with its sign, then
+    ``0.5 * _expit_diff`` with the larger exponent leading."""
+    with np.errstate(over="ignore", under="ignore"):
+        mag = p.rate * np.abs(x) ** p.alpha
+    t = np.copysign(mag, x) if p.mode == "sigmoid" else -mag
+    right, left = t[:, :-2], t[:, 2:]
+    if p.mode == "sigmoid":
+        return 0.5 * _expit_diff(right, left)
+    return np.where(right >= left, 0.5 * _expit_diff(right, left), -0.5 * _expit_diff(left, right))
+
+
+class TestWeightWorkspace:
+    """``_w_raw`` writes every array into caller memory and keeps the bits of the
+    allocating formula, whatever the workspace held before."""
+
+    # Offsets u and window starts s of the rows: integers put u - k = +-1 on a
+    # lattice point (phi's cusp), and u - k near 1050 makes the default
+    # kernel's weights subnormal.
+    ROWS = [(0.0, -8.0), (3.0, -5.0), (-5.0, -13.0), (0.5, -8.0), (0.37, -8.0), (-2.71, -11.0),
+            (1e-300, -8.0), (1050.25, 0.0), (-1062.5, -8.0), (1040.0, 1023.0)]
+
+    @pytest.mark.parametrize("mode", ["sigmoid", "literal"])
+    @pytest.mark.parametrize("q,theta,alpha", [(2.0, 1.0, 1.0), (2.0, 1.0, 0.5), (1.1, 0.5, 0.3),
+                                               (0.3, 2.5, 0.7), (1e300, 1e300, 1.0)])
+    def test_bits_of_the_allocating_formula(self, q, theta, alpha, mode):
+        p = ActivationParams(q, theta, alpha, mode=mode)
+        d = SymmetrizedDensity(p)
+        u, s = np.array(self.ROWS).T[:, :, None]
+        x = u - (s + np.arange(-1.0, 18.0))
+        want = _reference_weights(p, x)
+        # A workspace three times larger than the matrix, holding NaN, then the
+        # rows of a smaller matrix through the same memory.
+        ws = np.full((4, 3 * x.size), np.nan)
+        for rows in (slice(None), slice(3, 7)):
+            buf = ws[0, :x[rows].size].reshape(x[rows].shape)
+            buf[...] = x[rows]
+            got = d._w_raw(buf, 2, ws[1:])
+            assert got.shape == want[rows].shape and got.flags.c_contiguous
+            assert np.shares_memory(got, ws[0])
+            np.testing.assert_array_equal(got.view(np.uint64), want[rows].view(np.uint64))
+        if (q, theta, alpha, mode) == (2.0, 1.0, 1.0, "sigmoid"):
+            assert np.any((want > 0.0) & (want < np.finfo(float).tiny))   # subnormal weights
 
 
 class TestConcurrency:

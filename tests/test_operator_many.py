@@ -255,6 +255,26 @@ def test_stability_memory_does_not_grow_with_n(default_density, monkeypatch):
     assert max(peaks) < 8 * budget, peaks
 
 
+@pytest.mark.parametrize("mode", ["sigmoid", "literal"])
+def test_grid_memory_does_not_grow_with_grid_size(monkeypatch, mode):
+    # With 2**10 weights per matrix and rows per block, grids of 1001 and 10001
+    # points must each peak within a few copies of the output plus a fixed
+    # multiple of that budget.
+    monkeypatch.setattr(operator_module, "_CHUNK", 1 << 10)
+    d = SymmetrizedDensity(ActivationParams(2.0, 1.0, 1.0, mode=mode))
+    f = make_function("sin", extension="clamp" if mode == "sigmoid" else "none")
+    cfg = OperatorConfig(64, eval_mode="renormalized" if mode == "sigmoid" else "raw")
+    for points in (1001, 10001):
+        grid = np.linspace(-1.0, 1.0, points)
+        tracemalloc.start()
+        try:
+            approximate_grid(cfg, d, f, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * grid.nbytes + 100 * 8 * (1 << 10), (points, peak)
+
+
 def _counted(f):
     """``f`` with a list that grows by one entry per call of its callable."""
     calls = []

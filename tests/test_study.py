@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from nnapprox import (
     FunctionSpec,
     InputError,
     NNApproxError,
+    NumericalError,
     OperatorConfig,
     RateFit,
     SymmetrizedDensity,
@@ -210,6 +212,42 @@ def test_sweep_windows_wider_than_the_weight_matrix(monkeypatch):
     for name, params in (("sin", (1.7,)), ("abs_pow", (0.5,))):
         f = make_function(name, params)
         assert _sweep(f, d, cfg, ns, grid) == _per_n_loop(f, d, cfg, ns, grid)
+
+
+def test_sweep_memory_does_not_grow_with_grid_size(default_density, monkeypatch):
+    # With 2**10 weights per matrix and rows per block, sweeps over grids of 1001
+    # and 10001 points must each peak within a few copies of the output plus a
+    # fixed multiple of that budget: the pass walks the rows block by block.
+    monkeypatch.setattr(operator_module, "_CHUNK", 1 << 10)
+    f, ns = make_function("sin"), [8, 16, 32]
+    for points in (1001, 10001):
+        grid = np.linspace(-1.0, 1.0, points)
+        tracemalloc.start()
+        try:
+            convergence_sweep(f, default_density, OperatorConfig(8), ns, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * len(ns) * grid.nbytes + 100 * 8 * (1 << 10), (points, peak)
+
+
+@pytest.mark.parametrize("ns, points", [
+    ([8, 16], 301),                   # fails at n = 8
+    ([8, 2**40], 200),                # fails at n = 2**40, before its modulus grid
+    ([8, 2**30, 2**40], 200),         # fails at n = 2**30, rows 200 to 399
+])
+def test_renormalization_failure_across_blocks(monkeypatch, ns, points):
+    # 128 weights per matrix keep every window of these ladders (at most 111
+    # wide) in one column block, and split the failing n's rows into blocks of
+    # at most 128 rows: the smallest weight sum and the per-n order must not change.
+    d = SymmetrizedDensity(ActivationParams(2.0, 1.0, 1.0, mode="literal"))
+    f = make_function("sin", extension="none")
+    cfg, grid = OperatorConfig(8), np.linspace(-0.8, 0.8, points)
+    want = _per_n_loop(f, d, cfg, ns, grid)
+    assert want[0] is NumericalError and want[1].startswith("window weight sum")
+    assert _sweep(f, d, cfg, ns, grid) == want
+    monkeypatch.setattr(operator_module, "_CHUNK", 128)
+    assert _sweep(f, d, cfg, ns, grid) == want
 
 
 def test_sweep_calls_the_target_once_per_weight_matrix(default_density, monkeypatch):
