@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import stat
 import sys
 from dataclasses import dataclass, field, fields, replace
 
@@ -202,8 +203,18 @@ def _out_path(name: str, cfg: RunConfig) -> str:
 
 
 def _write(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    """Write ``text`` over the file at ``path`` in place, then cut it to length.
+
+    Opening with truncation can wait tens of milliseconds for the writeback of
+    the file's previous contents; writing first and truncating after does not.
+    The file is not unlinked, so symlinks, hard links and device files keep
+    their identity, and only a regular file is truncated (a pipe or
+    /dev/null cannot be)."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "wb") as fh:
+        fh.write(text.encode("utf-8"))
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            fh.truncate()
 
 
 def _density(cfg: RunConfig) -> SymmetrizedDensity:

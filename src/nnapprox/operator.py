@@ -22,12 +22,17 @@ memory for any grid, ladder and n*a.  The weights do not depend on the
 target, so one matrix serves every target of a call.  Each target is called
 once per chunk, on the chunk's lattice abscissas with -a and a appended for
 the clamp tails, unless ``stability_gaps`` has already sampled one lattice
-that holds every window, which the same chunk loop then reads.  Each
-target's samples are weighted and reduced row by row with numpy's pairwise
-sum, so every output depends only on its own x and n and never on the grid's
-order, its chunking, the other n or the other targets.  Renormalized mode
-divides by the total weight (window plus tails), which keeps constants
-exactly reproduced.
+that holds every window, which the same chunk loop then reads.  Either way
+the samples form one (targets x samples) matrix.  The chunk gathers the
+window samples of a group of targets into the workspace rows that the
+weights no longer need, multiplies them by the weights in place and sums
+each row: as many targets per product as those rows hold, at least four.
+The gathered block is C-ordered, so each (target, row) is still reduced by
+numpy's pairwise sum over one contiguous run of products, with the bits of a
+one-target call.  Every output depends only on its own x and n and never on
+the grid's order, its chunking, the other n or the other targets.
+Renormalized mode divides by the total weight (window plus tails), which
+keeps constants exactly reproduced.
 """
 
 from __future__ import annotations
@@ -127,18 +132,21 @@ def _checked_grid(fs, grid) -> tuple[np.ndarray, float]:
     if not np.isfinite(pts).all():
         raise InputError("evaluation points must be finite")
     outside = np.abs(pts) > a
-    if np.any(outside):
+    if outside.any():
         raise InputError(f"x={pts[outside][0]} outside the target domain [-{a}, {a}]")
     return pts, a
 
 
-def _samples(fs, a: float, lattices) -> list[np.ndarray]:
+def _samples(fs, a: float, lattices) -> np.ndarray:
     """Each target of ``fs`` at the points ``ks / n`` of every ``(ks, n)`` in
     ``lattices``, joined and clipped to [-a, a], then at -a and a for the clamp
-    tails: one call per target."""
+    tails: one call per target, written into its row of one matrix."""
     xs = np.concatenate([ks / float(n) for ks, n in lattices] + [(-a, a)])
     np.minimum(np.maximum(xs, -a, out=xs), a, out=xs)
-    return [f(xs) for f in fs]
+    vals = np.empty((len(fs), xs.size))
+    for i, f in enumerate(fs):
+        vals[i] = f(xs)
+    return vals
 
 
 def _chunk_samples(fs, a: float, windows, size: int, r0: int, first: np.ndarray, c: int):
@@ -203,9 +211,11 @@ def _operator_pass(cfg: OperatorConfig, d: SymmetrizedDensity, fs, pts: np.ndarr
     raw = np.zeros((len(fs), len(windows) * size))
     smallest = np.full(len(windows), np.inf)
     # One workspace per call, sized to its largest matrix: the abscissas, which
-    # become the weights, and three rows of scratch for _w_raw.
-    ws = np.empty((4, max((r1 - r0) * (min(width, _CHUNK) + 2)
+    # become the weights, three rows of scratch for _w_raw and one more row.
+    # Once the weights are formed, the last four rows hold gathered samples.
+    ws = np.empty((5, max((r1 - r0) * (min(width, _CHUNK) + 2)
                           for r0, r1, width in _chunks(windows, size))))
+    gather = ws[1:].reshape(-1)
     for block in _blocks(_chunks(windows, size)):
         b0, b1 = block[0][0], block[-1][1]
         n_index, x_index = np.divmod(np.arange(b0, b1), size)
@@ -224,19 +234,28 @@ def _operator_pass(cfg: OperatorConfig, d: SymmetrizedDensity, fs, pts: np.ndarr
                 # (u - k) - 1 would round.
                 x = ws[0, :(r1 - r0) * (c + 2)].reshape(-1, c + 2)
                 np.add(s, np.arange(j - 1.0, j + c + 1), out=x)
-                w = d._w_raw(np.subtract(u, x, out=x), 2, ws[1:])
+                w = d._w_raw(np.subtract(u, x, out=x), 2, ws[1:4])
                 if lattice is None:
                     vals, at = _chunk_samples(fs, a, windows, size, r0, s[:, 0] + j, c)
                 else:
                     vals, at = lattice[1], (s - lattice[0] + np.arange(j, j + c)).astype(np.intp)
-                for out, v in zip(raw, vals):
-                    out[r0:r1] += (w * v[at]).sum(axis=1)
+                # Groups of targets fill the free workspace rows.  take() writes
+                # each group C-ordered, so every (target, row) is one contiguous
+                # run of c products for the pairwise sum, as in a one-target
+                # call; fancy indexing would return another memory order.
+                step = gather.size // at.size
+                for t in range(0, len(fs), step):
+                    group = vals[t:t + step]
+                    prod = gather[:len(group) * at.size].reshape((len(group),) + at.shape)
+                    group.take(at, 1, prod, "clip")
+                    prod *= w
+                    raw[t:t + step, r0:r1] += prod.sum(axis=2)
                 mass[r0 - b0:r1 - b0] += w.sum(axis=1)
 
         left, right = d._outside_masses(u_all, window[1], window[2])
         part = raw[:, b0:b1]
         if clamp.any():
-            ends = np.array([v[-2:] for v in vals])[clamp]   # f(-a), f(a)
+            ends = vals[clamp, -2:]   # f(-a), f(a)
             part[clamp] += left * ends[:, :1] + right * ends[:, 1:]
         if cfg.eval_mode == "renormalized":
             total = np.where(none, mass, mass + (left + right))
@@ -285,12 +304,13 @@ def stability_gaps(cfg: OperatorConfig, d: SymmetrizedDensity, pairs,
 
     The bound scans the lattice hull of its window and every operator window
     in consecutive tiles of at most ``_GROUP`` samples of all targets, calling
-    each target once per tile.  When one tile covers the hull, the operator
-    pass reads its samples, so each target is called once.  Otherwise the pass
-    calls the targets per chunk, as ``approximate_many`` does; a pass per tile
-    would form the kernel weights once per tile.  Either way memory does not
-    grow with n * a.  Every output depends only on its own x, n and target,
-    so not on the tiling.
+    each target once per tile; a tile's bounds are one difference of the
+    sample matrix's even and odd rows and one row max.  When one tile covers
+    the hull, the operator pass reads its samples, so each target is called
+    once.  Otherwise the pass calls the targets per chunk, as
+    ``approximate_many`` does; a pass per tile would form the kernel weights
+    once per tile.  Either way memory does not grow with n * a.  Every output
+    depends only on its own x, n and target, so not on the tiling.
     """
     fs = [h for pair in pairs for h in pair]
     pts, a = _checked_grid(fs, grid)
@@ -307,26 +327,26 @@ def stability_gaps(cfg: OperatorConfig, d: SymmetrizedDensity, pairs,
     s_min, s_max = _starts(np.array([u_min, u_max]), win)
     first, last = min(k0, int(s_min)), max(k1, int(s_max) + width - 1)
     tile = max(1, _GROUP // len(fs) - 2)   # lattice points per tile, with -a and a beside them
-    bounds = [-math.inf] * (len(fs) // 2)
+    zero = np.flatnonzero([h.extension == "zero" for h in fs])
+    none = np.flatnonzero(["none" in (f.extension, g.extension)
+                           for f, g in zip(fs[0::2], fs[1::2])])
+    bounds = np.full(len(fs) // 2, -np.inf)
     for t in range(first, last + 1, tile):
         ks = np.arange(t, min(t + tile, last + 1))
         inside = np.abs(ks / cfg.n) <= a
-        zeroed = np.append(inside, (True, True))
-        vals = None   # frees the previous tile before the next is sampled
-        vals = [np.where(zeroed, v, 0.0) if h.extension == "zero" else v
-                for h, v in zip(fs, _samples(fs, a, [(ks, cfg.n)]))]
+        vals = diff = None   # frees the previous tile before the next is sampled
+        vals = _samples(fs, a, [(ks, cfg.n)])
+        vals[np.ix_(zero, np.flatnonzero(~inside))] = 0.0   # +0.0, as np.where gives
         # Clipped to the tile's lattice points, so -a and a never enter the bound.
         window = slice(*np.clip((k0 - t, k1 + 1 - t), 0, ks.size))
-        for i, (f, g, vf, vg) in enumerate(zip(fs[0::2], fs[1::2], vals[0::2], vals[1::2])):
-            diff = vf[window] - vg[window]
-            np.abs(diff, out=diff)
-            if "none" in (f.extension, g.extension):
-                diff = diff[inside[window]]
-            bounds[i] = max(bounds[i], float(diff.max(initial=-math.inf)))
+        diff = np.subtract(vals[0::2, window], vals[1::2, window])
+        np.abs(diff, out=diff)
+        diff[np.ix_(none, np.flatnonzero(~inside[window]))] = -np.inf
+        np.maximum(bounds, diff.max(axis=1, initial=-np.inf), out=bounds)
     values = _operator_pass(cfg, d, fs, pts, a, [win],
                             (first, vals) if tile > last - first else None)
     gaps = np.max(np.abs(values[0::2] - values[1::2]), axis=1).tolist()
-    return list(zip(gaps, bounds))
+    return list(zip(gaps, bounds.tolist()))
 
 
 def stability_gap(cfg: OperatorConfig, d: SymmetrizedDensity, f: FunctionSpec, g: FunctionSpec,

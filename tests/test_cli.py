@@ -395,6 +395,47 @@ def test_output_bytes_are_pinned(case, tmp_path, capsys):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+class TestOutputWrite:
+    """The output file is written in place and cut to the new length."""
+
+    ARGV = ["approx", "--grid-points", "21"]
+
+    @pytest.fixture()
+    def fresh(self, tmp_path, capsys):
+        out = tmp_path / "fresh.csv"
+        assert main(self.ARGV + ["--out", str(out)]) == 0
+        return out.read_bytes()
+
+    def test_longer_existing_file_is_cut_to_the_new_bytes(self, fresh, tmp_path, capsys):
+        out = tmp_path / "old.csv"
+        out.write_bytes(b"9" * (4 * len(fresh)))
+        assert main(self.ARGV + ["--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).digest() == hashlib.sha256(fresh).digest()
+
+    def test_symlink_keeps_the_link_and_writes_its_target(self, fresh, tmp_path, capsys):
+        target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+        target.write_bytes(b"9" * (4 * len(fresh)))
+        link.symlink_to(target)
+        assert main(self.ARGV + ["--out", str(link)]) == 0
+        assert link.is_symlink() and target.read_bytes() == fresh
+
+    def test_hard_link_sees_the_new_content(self, fresh, tmp_path, capsys):
+        out, other = tmp_path / "out.csv", tmp_path / "other.csv"
+        out.write_bytes(b"9" * (4 * len(fresh)))
+        os.link(out, other)
+        assert main(self.ARGV + ["--out", str(out)]) == 0
+        assert other.read_bytes() == fresh and os.path.samefile(out, other)
+
+    def test_dev_null_accepts_the_output(self, capsys):
+        assert main(self.ARGV + ["--out", os.devnull]) == 0
+
+    @pytest.mark.parametrize("where", ["directory", "missing-parent"])
+    def test_unwritable_path_exits_4(self, where, tmp_path, capsys):
+        path = tmp_path if where == "directory" else tmp_path / "no" / "out.csv"
+        assert main(self.ARGV + ["--out", str(path)]) == 4
+        assert "i/o error" in capsys.readouterr().err
+
+
 _LOG10 = st.floats(-307.0, 308.0)
 # Small sizes keep each call to a few milliseconds; the kernel parameters
 # decide the radii and windows.

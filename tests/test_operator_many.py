@@ -105,6 +105,61 @@ def test_windows_spread_wider_than_the_weight_matrix(default_density):
         assert row.tolist() == [approximate(cfg, default_density, f, x) for x in grid]
 
 
+# Target counts on both sides of the group sizes that the cases below take:
+# 4, 5 and 8 targets per gathered product, and 52 in the short last column
+# block of a 64-weight chunk; then the 100 targets of the stability subcommand.
+_COUNTS = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 51, 52, 53, 100]
+
+
+def _hundred_targets(a):
+    """Mixed shapes and extensions: pwlin at odd indices, the other built-ins at even."""
+    return [make_function("pwlin", (float(i),), a, EXTENSIONS[(i + 1) % 3]) if i % 2
+            else make_function(*TARGETS[i // 2 % len(TARGETS)], half_width=a,
+                               extension=EXTENSIONS[i // 2 % 3])
+            for i in range(100)]
+
+
+@pytest.mark.parametrize("chunk", [None, 64])
+@pytest.mark.parametrize("kernel, eval_mode",
+                         [(k, m) for k in KERNELS for m in ("raw", "renormalized")]
+                         + [("literal", "raw")])
+def test_stacked_groups_equal_one_target_calls(densities, literal_density, monkeypatch,
+                                               kernel, eval_mode, chunk):
+    # Every prefix of the target list splits into groups differently; each row
+    # must keep the bits of its own one-target call.  A chunk of 64 weights
+    # splits each window into column blocks, whose group sizes differ.
+    d = literal_density if kernel == "literal" else densities[kernel]
+    a = 1.037
+    n, points = (512, 37) if chunk is None else (64, 11)
+    if chunk is not None:
+        monkeypatch.setattr(operator_module, "_CHUNK", chunk)
+    cfg, grid = OperatorConfig(n, eval_mode=eval_mode), a * np.linspace(-1.0, 1.0, points) ** 3
+    fs = _hundred_targets(a)
+    single = np.array([approximate_grid(cfg, d, f, grid) for f in fs])
+    for count in _COUNTS:
+        many = approximate_many(cfg, d, fs[:count], grid)
+        np.testing.assert_array_equal(many.view(np.uint64), single[:count].view(np.uint64))
+
+
+@pytest.mark.parametrize("group", [None, 1])
+@pytest.mark.parametrize("kernel", list(KERNELS))
+def test_stacked_stability_equals_per_pair_reference(densities, monkeypatch, kernel, group):
+    # Both sampling routes: the pass reads the bound's one tile, or (budget
+    # patched to 1) samples per chunk while the bound walks one-point tiles.
+    # The grid reaches both ends, so the tiles at k_lo - 1 and k_hi + 1 hold no
+    # in-domain point, and every "none" pair's bound must skip them.
+    if group is not None:
+        monkeypatch.setattr(operator_module, "_GROUP", group)
+    a, d = 1.037, densities[kernel]
+    cfg, grid = OperatorConfig(16), np.array([-a, -0.3, 0.01, 0.6, a])
+    fs = _hundred_targets(a)
+    pairs = list(zip(fs[0::2], fs[1::2]))
+    assert "none" in (pairs[0][0].extension, pairs[0][1].extension)
+    reference = [_reference_gap(cfg, d, f, g, grid) for f, g in pairs]
+    for count in [1, 2, 3, 4, 5, 50]:
+        assert stability_gaps(cfg, d, pairs[:count], grid) == reference[:count]
+
+
 class TestManyTargetErrors:
     def test_mismatched_half_widths_rejected(self, default_density):
         fs = [make_function("sin"), make_function("sin", half_width=2.0)]

@@ -1,5 +1,7 @@
 """Target registry: lookups, defaults, determinism, and validation."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from nnapprox import (
     builtin_functions,
     make_function,
 )
-from nnapprox.targets import _BUILTINS
+from nnapprox.targets import _BUILTINS, _pwlin_knots
 
 
 class TestRegistry:
@@ -190,3 +192,16 @@ class TestPinnedBuiltins:
         want = make_function(entry.name, defaults, _A, extension)
         assert got == want
         np.testing.assert_array_equal(got(_X_WIDE), want(_X_WIDE))
+
+
+def test_pwlin_knots_equal_linspace_bit_for_bit():
+    # Log-uniform half-widths over the whole double range, plus the subnormal
+    # ones whose step underflows to 0 and the ones whose knots overflow to inf
+    # or turn NaN: every knot must carry linspace's bits.
+    widths = np.exp(np.random.default_rng(3).uniform(math.log(1e-323), math.log(1e308), 20000))
+    widths = widths.tolist() + [5e-324, 1e-323, 2.2250738585072014e-308, 1.0, 1.037, 2.5,
+                                8.98846567431158e307, 1.7976931348623157e308]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in widths:
+            want = np.linspace(-a, a, 9)
+            assert _pwlin_knots(a).view(np.uint64).tolist() == want.view(np.uint64).tolist(), a
