@@ -69,25 +69,6 @@ class RunConfig:
         "write measured timings into output files (breaks byte-for-byte reproducibility)",
     )
 
-    def to_config_text(self) -> str:
-        """Serialize as key=value lines; parse_config reads the same format."""
-        lines = []
-        for f in fields(self):
-            lines.append(f"{f.name}={_encode(getattr(self, f.name))}")
-        return "\n".join(lines) + "\n"
-
-
-def _encode(value) -> str:
-    if value is None:
-        return "none"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, tuple):
-        return ",".join(_encode(v) for v in value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
 
 def _parse_int_tuple(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(",") if part.strip())
@@ -256,7 +237,7 @@ def _run_approx(cfg: RunConfig):
 def _run_moduli(cfg: RunConfig):
     f = _target(cfg)
     t_list = cfg.t_list if cfg.t_list is not None else tuple(1.0 / n for n in cfg.n_list)
-    rows = [(t, *_moduli(f, t, t / 4.0)) for t in t_list]
+    rows = [(t, *_moduli(f, t)) for t in t_list]
     return ({None: (("t", "modulus", "second_modulus"), rows)}, None,
             f"moduli: {len(rows)} widths for fn={cfg.fn}")
 

@@ -202,8 +202,8 @@ class SymmetrizedDensity:
     # -- tail radii -----------------------------------------------------------
 
     def _radius(self, power: int, tol: float, cap: float = math.inf) -> int:
-        """Radius K with sum_{|k-u|>K} |k-u|**p |W(u-k)| <= tol for every u, or ``cap``
-        if that is smaller.
+        """Radius K with sum_{|k-u|>K} |k-u|**p |W(u-k)| <= tol (positive, from
+        ``_unit_tol``) for every u, or ``cap`` if that is smaller.
 
         Beyond |x| = 1, |W(x)| is the mean of |phi'| over (x-1, x+1), with
         ``|phi'(t)| <= rate * alpha * |t|**(alpha-1) * exp(-rate * |t|**alpha)``,
@@ -212,8 +212,6 @@ class SymmetrizedDensity:
         Gamma(p/alpha + 1, y)``; power 0 is the closed form ``2 e**-y``.  Higher
         powers bisect ``Gamma(s, y) <= y**s e**-y / (y-s+1)`` (y > s - 1) in logs.
         """
-        if not tol > 0.0:
-            raise InputError("tolerance must be positive")
         alpha, rate = self.params.alpha, self.params.rate
         try:
             if power == 0:
@@ -251,7 +249,8 @@ class SymmetrizedDensity:
         return self._radius(0, _unit_tol(eps), cap)
 
     def tail_cutoff(self, eps: float) -> float:
-        """Larger of the translate-sum and second-moment radii at ``min(eps, 2**-53)``."""
+        """Larger of the translate-sum and second-moment radii at ``min(eps, 2**-53)``,
+        so every eps at or above 2**-53 gives the same radius."""
         tol = _unit_tol(eps)
         return float(max(self._radius(0, tol), self._radius(2, tol)))
 
@@ -259,8 +258,9 @@ class SymmetrizedDensity:
 
     def partition_sum(self, u: float, eps: float) -> float:
         """Sum of kernel translates W(u - k) over the k within the partition radius
-        of u.  Consecutive terms share their phi values, so the window telescopes
-        to four boundary values; the sum is periodic in u, which is reduced mod 1."""
+        of u at ``min(eps, 2**-53)``, so every eps at or above 2**-53 gives the same
+        bits.  Consecutive terms share their phi values, so the window telescopes to
+        four boundary values; the sum is periodic in u, which is reduced mod 1."""
         radius = self._partition_radius(eps)
         if not math.isfinite(u):
             raise InputError("lattice offset must be finite")
@@ -370,10 +370,11 @@ class SymmetrizedDensity:
         sums = self._tail_sums(np.concatenate([u, 1.0 - u]), power - 1, tol)
         s_u, s_w = sums[: u.size], sums[u.size :]
         sigmoid = self.params.mode == "sigmoid"
-        if power == 1:
-            out = (1 - 2 * u) / 2 + s_w - s_u if sigmoid else s_u + s_w
-        else:
-            out = (u * u + (1 - u) ** 2) / 2 + 2 * (s_u + s_w) if sigmoid else 2 * (s_w - s_u)
+        with np.errstate(over="ignore"):   # an overflow is refused below
+            if power == 1:
+                out = (1 - 2 * u) / 2 + s_w - s_u if sigmoid else s_u + s_w
+            else:
+                out = (u * u + (1 - u) ** 2) / 2 + 2 * (s_u + s_w) if sigmoid else 2 * (s_w - s_u)
         if not np.all(np.isfinite(out)):
             raise NumericalError(f"order-{power} lattice moment overflows for {self.params}")
         return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
@@ -381,14 +382,14 @@ class SymmetrizedDensity:
     def first_lattice_moment(self, u, eps: float):
         """Sum of (k - u) * W(u - k) over all k, at a scalar (float out) or an array
         of offsets ``u``; the truncation error stays below ``min(eps, 2**-53)`` of
-        the tail sums it is made of.
+        the tail sums it is made of, so every eps at or above 2**-53 gives the same bits.
 
         Evenness of the sigmoid kernel forces this to vanish only at integer and
         half-integer offsets; elsewhere the measured magnitude is returned as is."""
         return self._lattice_moment(u, eps, 1)
 
     def second_lattice_moment(self, u, eps: float):
-        """Sum of (k - u)**2 * W(u - k) over all k, as ``first_lattice_moment``."""
+        """Sum of (k - u)**2 * W(u - k) over all k; u and eps as in ``first_lattice_moment``."""
         return self._lattice_moment(u, eps, 2)
 
     # -- continuous moments ---------------------------------------------------

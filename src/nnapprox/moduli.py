@@ -84,9 +84,9 @@ def second_modulus(f: FunctionSpec, t: float, grid_step: float) -> ModulusEstima
     return _second_difference(*_sampled(f, t, grid_step))
 
 
-def _moduli(f: FunctionSpec, t: float, grid_step: float) -> tuple[float, float]:
-    """The ``modulus`` and ``second_modulus`` values, both from one sample of f."""
-    sample = _sampled(f, t, grid_step)
+def _moduli(f: FunctionSpec, t: float) -> tuple[float, float]:
+    """``modulus`` and ``second_modulus`` at width t from one sample of f at step t/4."""
+    sample = _sampled(f, t, t / 4.0)
     return _spread(*sample).value, _second_difference(*sample).value
 
 
@@ -122,12 +122,12 @@ def _second_difference(t: float, h: float, vals: np.ndarray) -> ModulusEstimate:
     return ModulusEstimate(float(t), best, h)
 
 
-def lp_norm(f: FunctionSpec, p: float, tol: float = 1e-10) -> float:
-    """(integral of |f|**p over the domain) ** (1/p) by adaptive quadrature."""
+def lp_norm(f: FunctionSpec, p: float) -> float:
+    """(integral of |f|**p over the domain) ** (1/p), integrated to an absolute 1e-10."""
     if isinstance(p, bool) or not p >= 1.0:
         raise InputError(f"p must be >= 1, got {p!r}")
     a = f.half_width
-    value, _ = adaptive_simpson(lambda x: np.abs(f(x)) ** p, -a, a, tol)
+    value, _ = adaptive_simpson(lambda x: np.abs(f(x)) ** p, -a, a, 1e-10)
     return max(value, 0.0) ** (1.0 / p)
 
 

@@ -15,24 +15,25 @@ weights, one column per lattice point of a row's window, from one array of
 the abscissas u - j of each window and its two outer neighbours, so each
 exponent is formed once.  The abscissas and every intermediate of their
 weights go into one workspace that the call allocates once, sized to its
-largest chunk.  The rows are walked in blocks of whole chunks, at most
-``_CHUNK`` rows each, and each block forms its own window fields, starts,
-outside masses and clamp tails, so beyond its output a pass needs bounded
-memory for any grid, ladder and n*a.  The weights do not depend on the
-target, so one matrix serves every target of a call.  Each target is called
-once per chunk, on the chunk's lattice abscissas with -a and a appended for
-the clamp tails, unless ``stability_gaps`` has already sampled one lattice
-that holds every window, which the same chunk loop then reads.  Either way
-the samples form one (targets x samples) matrix.  The chunk gathers the
-window samples of a group of targets into the workspace rows that the
-weights no longer need, multiplies them by the weights in place and sums
-each row: as many targets per product as those rows hold, at least four.
-The gathered block is C-ordered, so each (target, row) is still reduced by
-numpy's pairwise sum over one contiguous run of products, with the bits of a
-one-target call.  Every output depends only on its own x and n and never on
-the grid's order, its chunking, the other n or the other targets.
-Renormalized mode divides by the total weight (window plus tails), which
-keeps constants exactly reproduced.
+largest chunk.  One generator walks the rows in blocks of whole chunks, at
+most ``_CHUNK`` rows each, for the workspace size and for the pass.  Each
+block forms its own window fields, starts, outside masses and clamp tails,
+so beyond its output a pass needs bounded memory for any grid, ladder and
+n*a.  The weights do not depend on the target, so one matrix serves every
+target of a call.  Each target is called once per chunk, on the chunk's
+lattice abscissas with -a and a appended for the clamp tails, unless
+``stability_gaps`` has already sampled one lattice that holds every window,
+which the same chunk loop then reads.  Either way the samples form one
+(targets x samples) matrix.  The chunk gathers the window samples of a group
+of targets into the workspace rows that the weights no longer need,
+multiplies them by the weights in place and sums each row: as many targets
+per product as those rows hold, at least four.  The gathered block is
+C-ordered, so each (target, row) is still reduced by numpy's pairwise sum
+over one contiguous run of products, with the bits of a one-target call.
+Every output depends only on its own x and n and never on the grid's order,
+its chunking, the other n or the other targets.  Renormalized mode divides
+by the total weight (window plus tails), which keeps constants exactly
+reproduced.
 """
 
 from __future__ import annotations
@@ -65,7 +66,8 @@ _GROUP = 1 << 20           # target samples per stability tile; bounds memory fo
 
 @dataclass(frozen=True)
 class OperatorConfig:
-    """Sampling density n, window truncation tolerance, and evaluation mode."""
+    """Sampling density n, window truncation tolerance, and evaluation mode.  The
+    tolerance is floored at 2**-53, so every value at or above it gives the same bits."""
 
     n: int
     truncation_eps: float = 1e-10
@@ -170,25 +172,20 @@ def _chunk_samples(fs, a: float, windows, size: int, r0: int, first: np.ndarray,
 
 
 def _chunks(windows, size: int):
-    """``(r0, r1, width)`` of each weight matrix of a pass over ``size`` points per
-    window: runs of consecutive rows whose windows share one width, at most
-    ``_CHUNK // (cols + 2)`` of them, where ``cols`` is the width capped at ``_CHUNK``."""
+    """Blocks of at most ``_CHUNK`` rows of a pass over ``size`` points per window, as
+    lists of ``(r0, r1, width)`` per weight matrix: runs of consecutive rows whose
+    windows share one width, at most ``_CHUNK // (min(width, _CHUNK) + 2)`` of them."""
+    block = []
     for width, group in itertools.groupby(range(len(windows)), key=lambda i: windows[i][4]):
         group = list(group)
         rows = max(1, _CHUNK // (min(width, _CHUNK) + 2))
         stop = (group[-1] + 1) * size
         for r0 in range(group[0] * size, stop, rows):
-            yield r0, min(r0 + rows, stop), width
-
-
-def _blocks(chunks):
-    """Consecutive chunks grouped into lists of at most ``_CHUNK`` rows in all."""
-    block = []
-    for chunk in chunks:
-        if block and chunk[1] - block[0][0] > _CHUNK:
-            yield block
-            block = []
-        block.append(chunk)
+            chunk = r0, min(r0 + rows, stop), width
+            if block and chunk[1] - block[0][0] > _CHUNK:
+                yield block
+                block = []
+            block.append(chunk)
     yield block
 
 
@@ -214,9 +211,9 @@ def _operator_pass(cfg: OperatorConfig, d: SymmetrizedDensity, fs, pts: np.ndarr
     # become the weights, three rows of scratch for _w_raw and one more row.
     # Once the weights are formed, the last four rows hold gathered samples.
     ws = np.empty((5, max((r1 - r0) * (min(width, _CHUNK) + 2)
-                          for r0, r1, width in _chunks(windows, size))))
+                          for block in _chunks(windows, size) for r0, r1, width in block)))
     gather = ws[1:].reshape(-1)
-    for block in _blocks(_chunks(windows, size)):
+    for block in _chunks(windows, size):
         b0, b1 = block[0][0], block[-1][1]
         n_index, x_index = np.divmod(np.arange(b0, b1), size)
         window = fields[n_index].T

@@ -81,8 +81,6 @@ def adaptive_simpson(
 
         xa, xb, fa, flm, fm, frm, fb = table[:7].compress(split, axis=1)
         mid = 0.5 * (xa + xb)
-        if np.any(mid <= xa) or np.any(mid >= xb):
-            raise NumericalError("quadrature interval underflow before convergence")
         halves = np.concatenate([[xa, mid, fa, flm, fm], [mid, xb, fm, frm, fb]], axis=1)
         table = np.concatenate([table.compress(~split, axis=1), _stencil(fn, *halves)], axis=1)
 

@@ -34,7 +34,7 @@ __all__ = [
 
 # Offsets mod 1 at which the sweep takes the max of the second lattice moment.
 _U_GRID = tuple(np.linspace(0.0, 1.0, 17, endpoint=False))
-_DEFAULT_X_GRID = tuple(np.linspace(-1.0, 1.0, 201))
+_X_GRID = np.linspace(-1.0, 1.0, 201)
 # A stability pair passes when its gap is within this of the lattice bound.
 _SLACK = 1e-10
 
@@ -99,8 +99,7 @@ def convergence_sweep(
         for n in ns:
             start = time.perf_counter()
             windows.append(_window(replace(cfg_template, n=n), d, [f], a))
-            t = 1.0 / n
-            moduli.append(_moduli(f, t, t / 4.0))
+            moduli.append(_moduli(f, 1.0 / n))
             own_ms.append((time.perf_counter() - start) * 1e3)
     except NNApproxError as exc:
         failure = exc
@@ -134,12 +133,9 @@ def fit_loglog_slope(records: Sequence[ConvergenceRecord]) -> RateFit:
     return RateFit(float(slope), float(intercept), float(min(max(r2, 0.0), 1.0)))
 
 
-def second_moment_uniformity(
-    d: SymmetrizedDensity,
-    n_list: Sequence[int],
-    x_grid: Sequence[float] = _DEFAULT_X_GRID,
-) -> list[tuple[int, float]]:
-    """For each n, the max over ``x_grid`` of n**2 sum_k (k/n - x)**2 W(nx - k).
+def second_moment_uniformity(d: SymmetrizedDensity,
+                             n_list: Sequence[int]) -> list[tuple[int, float]]:
+    """For each n, the max over 201 points x of [-1, 1] of n**2 sum_k (k/n - x)**2 W(nx - k).
 
     That sum is the second lattice moment at the offset n x, so each n sees its
     own set of offsets; the values agree across n only as far as the moment is
@@ -147,10 +143,7 @@ def second_moment_uniformity(
     taken at the tightest lattice tolerance, 2**-53.
     """
     ns = _validate_n_list(n_list)
-    xs = np.asarray(x_grid, dtype=float)
-    if xs.size == 0:
-        raise InputError("x_grid must be nonempty")
-    return [(n, float(np.max(d.second_lattice_moment(n * xs, _UNIT_ROUNDOFF)))) for n in ns]
+    return [(n, float(np.max(d.second_lattice_moment(n * _X_GRID, _UNIT_ROUNDOFF)))) for n in ns]
 
 
 def stability_suite(

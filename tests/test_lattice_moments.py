@@ -8,6 +8,7 @@ window, and high-precision mpmath sums of the series that defines M_p.
 """
 
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -160,6 +161,25 @@ def test_overflowing_moments_raise(params):
         with pytest.raises(NumericalError) as info:
             call(np.array([0.0, 0.3]), 1e-10)
         assert "nan" not in str(info.value)
+
+
+def test_overflowing_tail_sum_bound_is_refused():
+    # At rate 1e-154 and alpha 0.5, Gamma(2) rate**-2 / alpha overflows, so the
+    # tail sums' error bound is inf and is refused as inf, not as nan.
+    d = SymmetrizedDensity(ActivationParams(math.e, 1e-154, 0.5))
+    with pytest.raises(NumericalError, match=r"order-1 lattice moment error bound inf \(inf on "
+                                             r"overflow\) exceeds 1\.110e-16 of its tail sum"):
+        d.first_lattice_moment(0.3, 1e-10)
+
+
+def test_overflowing_moment_is_refused():
+    # At rate 1e-154 and alpha 1, the order-1 tail sums are finite near 1e308,
+    # and twice their sum overflows.
+    d = SymmetrizedDensity(ActivationParams(math.e, 1e-154, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="order-2 lattice moment overflows"):
+            d.second_lattice_moment(np.array([0.0, 0.3]), 1e-10)
 
 
 def test_bad_offsets_and_tolerances_rejected(default_density):

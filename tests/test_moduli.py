@@ -226,16 +226,16 @@ def test_bool_or_nonpositive_numbers_rejected(call):
 class TestNorms:
     def test_l2_of_unit_constant(self):
         f = make_function("const", (1.0,))
-        assert lp_norm(f, 2.0, 1e-10) == pytest.approx(math.sqrt(2.0), abs=1e-8)
+        assert lp_norm(f, 2.0) == pytest.approx(math.sqrt(2.0), abs=1e-8)
 
     def test_l2_of_identity(self):
         f = make_function("linear")
-        assert lp_norm(f, 2.0, 1e-10) == pytest.approx(math.sqrt(2.0 / 3.0), abs=1e-8)
+        assert lp_norm(f, 2.0) == pytest.approx(math.sqrt(2.0 / 3.0), abs=1e-8)
 
     def test_l1_of_default_sine(self):
         # integral of |sin(pi x / 2)| over [-1, 1] is 4/pi by hand.
         f = make_function("sin")
-        assert lp_norm(f, 1.0, 1e-10) == pytest.approx(4.0 / math.pi, abs=1e-6)
+        assert lp_norm(f, 1.0) == pytest.approx(4.0 / math.pi, abs=1e-6)
 
     def test_p_below_one_rejected(self):
         with pytest.raises(InputError):

@@ -310,17 +310,15 @@ class TestSecondMomentUniformity:
         assert all(math.isfinite(v) and v > 0.0 for v in vals)
 
     def test_each_n_takes_the_moment_at_n_x(self):
-        # At alpha = 0.5 the moment varies with the offset, so the offsets n x for
-        # n = 2 (0.2, 0.6) and n = 5 (0.5, 1.5) give different maxima.
-        d = SymmetrizedDensity(ActivationParams(2.0, 1.0, 0.5))
-        rows = second_moment_uniformity(d, [2, 5], (0.1, 0.3))
-        assert rows == [(n, max(d.second_lattice_moment(n * x, 1e-10) for x in (0.1, 0.3)))
-                        for n in (2, 5)]
+        # The literal moment peaks near the offset 0.81, off the integers, so the
+        # offsets n x over the 201 points of [-1, 1] (steps of 0.02 for n = 2,
+        # 0.03 for n = 3) give different maxima.
+        d = SymmetrizedDensity(ActivationParams(2.0, 1.0, 0.5, "literal"))
+        xs = np.linspace(-1.0, 1.0, 201).tolist()
+        rows = second_moment_uniformity(d, [2, 3])
+        assert rows == [(n, max(d.second_lattice_moment(n * x, 1e-10) for x in xs))
+                        for n in (2, 3)]
         assert rows[0][1] != rows[1][1]
-
-    def test_empty_x_grid_rejected(self, default_density):
-        with pytest.raises(InputError, match="x_grid"):
-            second_moment_uniformity(default_density, [8], ())
 
     def test_steeper_decay_shrinks_moment(self):
         base = SymmetrizedDensity(ActivationParams(2.0, 1.0, 1.0, mode="sigmoid"))
